@@ -1,6 +1,8 @@
 """Semi-transitive orientability of split graphs, decided in polynomial time
 with verifiable certificates, on top of a consecutive/circular-ones engine."""
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -69,4 +71,4 @@ from .generate import (
 )
 from .harness import BenchReport, DiffReport, bench, difftest
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -2,7 +2,8 @@
 
 Exit codes follow the recognize convention: 0 for the positive outcome
 (semi-transitive / certificate found / all methods agree), 1 for the negative
-outcome, 2 for errors such as malformed input or guard violations.
+outcome, 2 for errors such as malformed input or guard violations, 3 for an
+internal error (a failed consistency check), which is never an answer.
 """
 
 from __future__ import annotations
@@ -245,6 +246,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, SizeGuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

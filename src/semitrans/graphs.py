@@ -8,7 +8,7 @@ construction; every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .matrices import BinaryMatrix
 
@@ -90,15 +90,8 @@ class SplitPartition:
         c, i = self.clique, self.independent
         if sorted(c + i) != list(g.vertices()):
             raise ValueError("clique and independent set must partition the vertices")
+        _check_sides(g, c, i)
         cset = set(c)
-        for x_idx, x in enumerate(c):
-            for y in c[x_idx + 1:]:
-                if not g.has_edge(x, y):
-                    raise ValueError(f"clique vertices {x}, {y} are not adjacent")
-        for x_idx, x in enumerate(i):
-            for y in i[x_idx + 1:]:
-                if g.has_edge(x, y):
-                    raise ValueError(f"independent vertices {x}, {y} are adjacent")
         for v in i:
             if cset and cset <= g.neighbors(v):
                 raise ValueError(f"independent vertex {v} is adjacent to all of the clique")
@@ -113,8 +106,18 @@ class SplitPartition:
     def t(self) -> int:
         return len(self.independent)
 
-    def independent_neighborhoods(self) -> list[frozenset[int]]:
-        return [self.graph.neighbors(v) for v in self.independent]
+
+def _check_sides(g: Graph, clique: Sequence[int], independent: Sequence[int]):
+    """Raise ValueError naming the first non-adjacent clique pair or adjacent
+    independent pair."""
+    for x_idx, x in enumerate(clique):
+        for y in clique[x_idx + 1:]:
+            if not g.has_edge(x, y):
+                raise ValueError(f"clique vertices {x}, {y} are not adjacent")
+    for x_idx, x in enumerate(independent):
+        for y in independent[x_idx + 1:]:
+            if g.has_edge(x, y):
+                raise ValueError(f"independent vertices {x}, {y} are adjacent")
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,7 @@ def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterab
     c = list(clique)
     i = sorted(independent)
     cset = set(c)
-    for x_idx, x in enumerate(c):
-        for y in c[x_idx + 1:]:
-            if not graph.has_edge(x, y):
-                raise ValueError(f"clique vertices {x}, {y} are not adjacent")
-    for x_idx, x in enumerate(i):
-        for y in i[x_idx + 1:]:
-            if graph.has_edge(x, y):
-                raise ValueError(f"independent vertices {x}, {y} are adjacent")
+    _check_sides(graph, c, i)
     moved = True
     while moved:
         moved = False
@@ -254,14 +250,10 @@ def split_partition(g: Graph) -> Optional[SplitPartition]:
         if d >= idx - 1:
             h = idx
     cand_c, cand_i = order[:h], order[h:]
-    for x_idx, x in enumerate(cand_c):
-        for y in cand_c[x_idx + 1:]:
-            if not g.has_edge(x, y):
-                return None
-    for x_idx, x in enumerate(cand_i):
-        for y in cand_i[x_idx + 1:]:
-            if g.has_edge(x, y):
-                return None
+    try:
+        _check_sides(g, cand_c, cand_i)
+    except ValueError:
+        return None
     return normalize_partition(g, sorted(cand_c), sorted(cand_i))
 
 
@@ -295,10 +287,7 @@ def twin_reduce(g: Graph) -> TwinReduction:
             neigh[v].discard(b)
         del neigh[b]
         removed_pairs.append((a, b))
-    relabel = {old: new for new, old in enumerate(live, start=1)}
-    new_edges = {(min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
-                 for u, v in g.edges if u in relabel and v in relabel}
-    return TwinReduction(Graph(len(live), frozenset(new_edges)), tuple(live), tuple(removed_pairs))
+    return TwinReduction(induced_subgraph(g, live)[0], tuple(live), tuple(removed_pairs))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -321,13 +310,11 @@ def neighborhood_matrix(p: SplitPartition) -> BinaryMatrix:
     Row order is p.clique, column order is p.independent; columns are labeled
     with the independent vertex ids.
     """
-    k = p.k
+    row = {u: r for r, u in enumerate(p.clique)}
     cols = []
     for v in p.independent:
-        nb = p.graph.neighbors(v)
         mask = 0
-        for r, u in enumerate(p.clique):
-            if u in nb:
-                mask |= 1 << r
+        for u in p.graph.neighbors(v):
+            mask |= 1 << row[u]
         cols.append(mask)
-    return BinaryMatrix(k, p.t, tuple(cols), tuple(p.independent))
+    return BinaryMatrix(p.k, p.t, tuple(cols), tuple(p.independent))

@@ -141,6 +141,16 @@ def _fit_slope(points: list[tuple[float, float]]) -> Optional[float]:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
+def _mean_slope(lines: list[list[tuple[float, float]]]) -> Optional[float]:
+    """Mean log-log slope over the grid lines that have one (positive times only)."""
+    slopes = []
+    for pts in lines:
+        s = _fit_slope([(x, y) for x, y in pts if y > 0])
+        if s is not None:
+            slopes.append(s)
+    return sum(slopes) / len(slopes) if slopes else None
+
+
 def bench(
     ks: Sequence[int],
     ts: Sequence[int],
@@ -172,18 +182,6 @@ def bench(
             med = sorted(times)[len(times) // 2]
             rows.append((k, t, med))
             cells[(k, t)] = med
-    t_slopes = []
-    for k in ks:
-        pts = [(t, cells[(k, t)]) for t in ts if cells[(k, t)] > 0]
-        s = _fit_slope(pts)
-        if s is not None:
-            t_slopes.append(s)
-    k_slopes = []
-    for t in ts:
-        pts = [(k, cells[(k, t)]) for k in ks if cells[(k, t)] > 0]
-        s = _fit_slope(pts)
-        if s is not None:
-            k_slopes.append(s)
-    slope_t = sum(t_slopes) / len(t_slopes) if t_slopes else None
-    slope_k = sum(k_slopes) / len(k_slopes) if k_slopes else None
+    slope_t = _mean_slope([[(t, cells[(k, t)]) for t in ts] for k in ks])
+    slope_k = _mean_slope([[(k, cells[(k, t)]) for k in ks] for t in ts])
     return BenchReport(rows=rows, slope_t=slope_t, slope_k=slope_k, reps=reps)

@@ -3,17 +3,17 @@
 The tree represents exactly the set of row orders under which every column
 reduced so far has its ones consecutive.  P-nodes permute children freely,
 Q-nodes only reverse.  Reduction applies the standard template set (leaf,
-P1-P6, Q1-Q3) expressed recursively: a pertinent node classifies as empty,
-full, or partial, where a partial node normalizes to an ordered list of
-subtrees reading empty-side first, full-side last.
+P1-P6, Q1-Q3): a pertinent node classifies as empty, full, or partial, where
+a partial node normalizes to an ordered list of subtrees reading empty-side
+first, full-side last.  Below the pertinent root the partial nodes form a
+chain (each has at most one partial child), which is walked iteratively from
+the top, so the walk needs no call stack proportional to the tree depth.
 
 One reduction costs O(tree size) for the count pass plus work proportional to
 the pertinent subtree, so a k-row, c-column matrix reduces in O(c*k) time.
 """
 
 from __future__ import annotations
-
-import sys
 
 
 class _Fail(Exception):
@@ -59,11 +59,6 @@ class PQTree:
             self.root = _Node(_LEAF, row=1)
         else:
             self.root = _Node(_P, [_Node(_LEAF, row=r) for r in range(1, m + 1)])
-        # classification recurses along the pertinent subtree, whose depth is
-        # bounded by the leaf count
-        limit = 3 * m + 200
-        if sys.getrecursionlimit() < limit:
-            sys.setrecursionlimit(limit)
         self._pert: dict[int, int] = {}
         self._leaves: dict[int, int] = {}
 
@@ -145,72 +140,55 @@ class PQTree:
             return _FULL
         return _PARTIAL
 
-    def _partial_items(self, node: _Node) -> list[_Node]:
-        """Replacement child list for a non-root partial node, empties first."""
-        if node.kind == _LEAF:
-            raise _Fail
-        if node.kind == _P:
-            empty, full, partial = [], [], []
-            for ch in node.children:
-                lab = self._label(ch)
-                if lab == _EMPTY:
-                    empty.append(ch)
-                elif lab == _FULL:
-                    full.append(ch)
-                else:
-                    partial.append(ch)
-            if len(partial) > 1:
-                raise _Fail
-            items: list[_Node] = []
-            if empty:
-                items.append(_make_p(empty))
-            if partial:
-                items.extend(self._partial_items(partial[0]))
-            if full:
-                items.append(_make_p(full))
-            return items
-        # Q-node: children must read empties, then at most one partial, then
-        # fulls, in the stored order or its reversal
-        for seq in (node.children, node.children[::-1]):
-            items = self._scan_q(seq)
-            if items is not None:
-                return items
+    def _split(self, node: _Node) -> tuple[list[_Node], list[_Node], list[_Node]]:
+        """Children of node grouped as (empty, full, partial), each in order."""
+        groups: tuple[list[_Node], list[_Node], list[_Node]] = ([], [], [])
+        for ch in node.children:
+            groups[self._label(ch)].append(ch)
+        return groups
+
+    def _orient_q(self, node: _Node) -> tuple[list[_Node], _Node | None, list[_Node]]:
+        """A partial non-root Q-node read as (empties, partial child or None,
+        fulls), in the stored order or else its reversal; the labels must read
+        empties, at most one partial, then fulls."""
+        labels = [self._label(ch) for ch in node.children]
+        for seq, labs in ((node.children, labels), (node.children[::-1], labels[::-1])):
+            i = 0
+            while i < len(labs) and labs[i] == _EMPTY:
+                i += 1
+            j = i + 1 if i < len(labs) and labs[i] == _PARTIAL else i
+            if all(lab == _FULL for lab in labs[j:]):
+                return seq[:i], seq[i] if j > i else None, seq[j:]
         raise _Fail
 
-    def _scan_q(self, seq: list[_Node]) -> list[_Node] | None:
-        items: list[_Node] = []
-        in_full = False
-        for ch in seq:
-            lab = self._label(ch)
-            if not in_full:
-                if lab == _EMPTY:
-                    items.append(ch)
-                elif lab == _PARTIAL:
-                    items.extend(self._partial_items(ch))
-                    in_full = True
-                else:
-                    items.append(ch)
-                    in_full = True
+    def _partial_items(self, node: _Node) -> list[_Node]:
+        """Replacement child list for a non-root partial node, empties first.
+
+        Walks down the chain of partial nodes: each level puts its empty side
+        to the left and its full side to the right of the levels below it.
+        """
+        left: list[_Node] = []
+        right: list[_Node] = []  # full sides, outermost first, each reversed
+        while node is not None:
+            if node.kind == _P:
+                empty, full, partial = self._split(node)
+                if len(partial) > 1:
+                    raise _Fail
+                lo = [_make_p(empty)] if empty else []
+                hi = [_make_p(full)] if full else []
+                node = partial[0] if partial else None
             else:
-                if lab != _FULL:
-                    return None
-                items.append(ch)
-        return items
+                lo, node, hi = self._orient_q(node)
+            left.extend(lo)
+            right.extend(reversed(hi))
+        return left + right[::-1]
 
     def _apply_root(self, node: _Node):
         """Templates at the pertinent root, where the block may sit mid-frontier."""
         if node.kind == _LEAF:
             return
         if node.kind == _P:
-            empty, full, partial = [], [], []
-            for ch in node.children:
-                lab = self._label(ch)
-                if lab == _EMPTY:
-                    empty.append(ch)
-                elif lab == _FULL:
-                    full.append(ch)
-                else:
-                    partial.append(ch)
+            empty, full, partial = self._split(node)
             if len(partial) == 0:
                 if len(full) >= 2:
                     node.children = empty + [_Node(_P, full)]

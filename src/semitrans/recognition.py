@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, SplitPartition, split_partition
-from .matrices import BinaryMatrix, SizeGuardError, has_circular_ones
+from .graphs import Graph, SplitPartition, neighborhood_matrix, split_partition
+from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
 from .orient import Orientation, find_shortcut, is_acyclic, is_semi_transitive_orientation
 
 
@@ -33,18 +33,19 @@ class Labeling:
     order: tuple[int, ...]  # order[p-1] = vertex at position p
 
     def position_of(self, v: int) -> int:
-        cached = self.__dict__.get("_pos")
-        if cached is None:
-            cached = {u: i + 1 for i, u in enumerate(self.order)}
-            object.__setattr__(self, "_pos", cached)
-        return cached[v]
+        return self.as_dict()[v]
 
     @property
     def k(self) -> int:
         return len(self.order)
 
     def as_dict(self) -> dict[int, int]:
-        return {u: i + 1 for i, u in enumerate(self.order)}
+        """Vertex -> position map, built once per labeling (do not mutate)."""
+        cached = self.__dict__.get("_pos")
+        if cached is None:
+            cached = {u: i + 1 for i, u in enumerate(self.order)}
+            object.__setattr__(self, "_pos", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -137,25 +138,37 @@ def _pair_ok(u_shape: Shape, v_shape: Shape) -> Optional[int]:
     return 2
 
 
-def validate_labeling(p: SplitPartition, labeling: Labeling) -> LabelingReport:
-    """Check the three labeling conditions, reporting each violation found."""
+def _labeling_shapes(p: SplitPartition, labeling: Labeling) -> list[Optional[Shape]]:
+    """Shape of every independent vertex's neighborhood, in p.independent order."""
     if sorted(labeling.order) != sorted(p.clique):
         raise ValueError("labeling is not a bijection on the clique")
-    shapes: dict[int, Shape] = {}
-    violations: list[Violation] = []
-    for v in p.independent:
-        s = shape_of(p, labeling, v)
+    row_of = {u: r for r, u in enumerate(p.clique, start=1)}
+    return shapes_under_order(p.k, neighborhood_matrix(p).columns, [row_of[u] for u in labeling.order])
+
+
+def _violations(shapes: Sequence[Optional[Shape]], ids: Sequence[int]) -> Iterator[Violation]:
+    """Labeling violations in report order: every vertex whose shape is None
+    (condition 1), then every failing pair of the other vertices."""
+    for v, s in zip(ids, shapes):
         if s is None:
-            violations.append(Violation(1, (v,)))
-        else:
-            shapes[v] = s
-    verts = [v for v in p.independent if v in shapes]
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            cond = _pair_ok(shapes[u], shapes[v])
+            yield Violation(1, (v,))
+    real = [(v, s) for v, s in zip(ids, shapes) if s is not None and s.kind != "empty"]
+    for i, (u, u_shape) in enumerate(real):
+        for v, v_shape in real[i + 1:]:
+            cond = _pair_ok(u_shape, v_shape)
             if cond is not None:
-                violations.append(Violation(cond, (u, v)))
-    return LabelingReport(not violations, tuple(violations))
+                yield Violation(cond, (u, v))
+
+
+def validate_shapes(shapes: Sequence[Optional[Shape]]) -> bool:
+    """Whether the shapes of all neighborhoods form a valid labeling."""
+    return next(_violations(shapes, range(1, len(shapes) + 1)), None) is None
+
+
+def validate_labeling(p: SplitPartition, labeling: Labeling) -> LabelingReport:
+    """Check the three labeling conditions, reporting each violation found."""
+    found = tuple(_violations(_labeling_shapes(p, labeling), p.independent))
+    return LabelingReport(not found, found)
 
 
 def validate_matrix_form(mtx: BinaryMatrix, perm: Sequence[int]) -> bool:
@@ -163,35 +176,23 @@ def validate_matrix_form(mtx: BinaryMatrix, perm: Sequence[int]) -> bool:
     (i) every column circular under perm, and (ii) for every column reading
     1^a 0^b 1^c (a, b, c >= 1) no other column has ones at all positions
     a .. a+b+1."""
-    if sorted(perm) != list(range(1, mtx.m + 1)):
-        raise ValueError("not a permutation of the matrix rows")
+    _check_perm(mtx, perm)
     k = mtx.m
-    permuted = []
-    for col in mtx.columns:
-        mask = 0
-        for pos, row in enumerate(perm):
-            if (col >> (row - 1)) & 1:
-                mask |= 1 << pos
-        permuted.append(mask)
+    permuted = [_permuted_mask(col, perm) for col in mtx.columns]
     full = (1 << k) - 1
     zones = []
     for mask in permuted:
         if mask == 0 or mask == full:
             continue
-        comp = full & ~mask
-        lowbit = comp & -comp
-        rest = comp >> (lowbit.bit_length() - 1)
         if mask & 1 and (mask >> (k - 1)) & 1:
-            if rest & (rest + 1) == 0:
-                # wrapped column: the zero block plus its two bordering ones
-                a = lowbit.bit_length() - 1
-                b = comp.bit_count()
-                zones.append(((1 << (b + 2)) - 1) << (a - 1))
-                continue
-            return False
-        low1 = mask & -mask
-        body = mask >> (low1.bit_length() - 1)
-        if body & (body + 1) != 0:
+            comp = full & ~mask
+            if not _ones_consecutive(comp):
+                return False
+            # wrapped column: the zero block plus its two bordering ones
+            a = (comp & -comp).bit_length() - 1
+            b = comp.bit_count()
+            zones.append(((1 << (b + 2)) - 1) << (a - 1))
+        elif not _ones_consecutive(mask):
             return False
     # a wrapped column never covers its own zone (the zone interior is its
     # zero block), so every column may be tested against every zone
@@ -208,7 +209,7 @@ def intersection_matrix(p: SplitPartition) -> BinaryMatrix:
     k rows in clique order; columns indexed by independent pairs (i, j) with
     i <= j, labeled with the vertex ids.
     """
-    masks = _neighborhood_masks(p)
+    masks = neighborhood_matrix(p).columns
     return intersection_matrix_from_masks(p.k, masks, tuple(p.independent))
 
 
@@ -233,17 +234,6 @@ def prune_trivial_columns(mtx: BinaryMatrix) -> BinaryMatrix:
     cols = tuple(mtx.columns[j] for j in keep)
     labels = tuple(mtx.labels[j] for j in keep) if mtx.labels is not None else None
     return BinaryMatrix(mtx.m, len(cols), cols, labels)
-
-
-def _neighborhood_masks(p: SplitPartition) -> list[int]:
-    row = {u: r for r, u in enumerate(p.clique)}
-    masks = []
-    for v in p.independent:
-        m = 0
-        for u in p.graph.neighbors(v):
-            m |= 1 << row[u]
-        masks.append(m)
-    return masks
 
 
 def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -271,17 +261,6 @@ def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Seq
     return out
 
 
-def validate_shapes(shapes: Sequence[Optional[Shape]]) -> bool:
-    if any(s is None for s in shapes):
-        return False
-    real = [s for s in shapes if s.kind != "empty"]
-    for i, u in enumerate(real):
-        for v in real[i + 1:]:
-            if _pair_ok(u, v) is not None:
-                return False
-    return True
-
-
 def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
     """The explicit orientation certified by a valid labeling.
 
@@ -290,15 +269,15 @@ def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
     cycle through the clique tournament.  Interval vertices are uniformly made
     sources; empty ones stay isolated.
     """
-    report = validate_labeling(p, labeling)
-    if not report.ok:
-        raise ValueError(f"labeling does not satisfy the conditions: {report.violations}")
+    shapes = _labeling_shapes(p, labeling)
+    found = tuple(_violations(shapes, p.independent))
+    if found:
+        raise ValueError(f"labeling does not satisfy the conditions: {found}")
     pos = labeling.as_dict()
     arcs = set()
     for u, v in combinations(p.clique, 2):
         arcs.add((u, v) if pos[u] < pos[v] else (v, u))
-    for v in p.independent:
-        s = shape_of(p, labeling, v)
+    for v, s in zip(p.independent, shapes):
         if s.kind == "empty":
             continue
         if s.kind == "interval":
@@ -323,7 +302,7 @@ def recognize(p: SplitPartition, verify: bool = True) -> Decision:
     the quadratic-size orientation and is meant for scaling measurements of
     the decision core.
     """
-    masks = _neighborhood_masks(p)
+    masks = neighborhood_matrix(p).columns
     perm = decide_labeling(p.k, masks)
     if perm is None:
         if p.t <= 3:
@@ -357,16 +336,13 @@ def enumerate_labelings_oracle(p: SplitPartition, guard: int = 8) -> Optional[La
     """Independent oracle: first valid labeling in lexicographic vertex order, or None."""
     if p.k > guard:
         raise SizeGuardError(f"k={p.k} exceeds the labeling oracle guard {guard}")
-    masks = _neighborhood_masks(p)
+    masks = neighborhood_matrix(p).columns
     row_of = {u: r + 1 for r, u in enumerate(p.clique)}
     for order in permutations(sorted(p.clique)):
         shapes = shapes_under_order(p.k, masks, [row_of[u] for u in order])
         if validate_shapes(shapes):
             return Labeling(order)
     return None
-
-
-_CASE_TAGS = ("a", "b", "c")
 
 
 def _case_requirements(a: int, b: int, c: int) -> dict[str, list[frozenset[int]]]:

@@ -3,6 +3,7 @@ import pytest
 from semitrans.cli import main
 from semitrans.generate import forbidden_configuration
 from semitrans.graphs import format_graph
+from semitrans.recognition import InternalConsistencyError
 
 
 @pytest.fixture
@@ -66,6 +67,18 @@ def test_recognize_errors_exit_2(write, capsys):
     assert main(["recognize", write("c5.graph", "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")]) == 2
     assert "split" in capsys.readouterr().err
     assert main(["recognize", "/nonexistent/file.graph"]) == 2
+
+
+@pytest.mark.parametrize("exc", [InternalConsistencyError("certificate failed"), RecursionError("too deep")])
+def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
+    def broken(p, verify=True):
+        raise exc
+
+    monkeypatch.setattr("semitrans.cli.recognize", broken)
+    assert main(["recognize", write("g.graph", PATH_GRAPH)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and str(exc) in captured.err
 
 
 def test_recognize_respects_pinned_clique(write, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -338,6 +339,23 @@ def test_pqtree_failure_keeps_reducing_consistent():
     assert tree.reduce(0b011)
     assert tree.reduce(0b110)
     assert not tree.reduce(0b101)
+
+
+def test_pqtree_deep_partial_chain_needs_no_recursion():
+    # nested prefixes build a chain of nodes about k deep; the column {1, k}
+    # then makes every node on that chain partial
+    k = 400
+    cols = [(1 << i) - 1 for i in range(2, k)] + [1 | (1 << (k - 1))]
+    mtx = BinaryMatrix(k, len(cols), tuple(cols))
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        perm = has_consecutive_ones(mtx)
+        limit = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert perm is not None and check_c1p_under_perm(mtx, perm)
+    assert limit == 200
 
 
 def test_pqtree_vacuous_masks():
