@@ -56,6 +56,22 @@ class Graph:
             object.__setattr__(self, "_adjacency", cached)
         return cached
 
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """masks[v] has bit u-1 set for every neighbor u of v (masks[0] is 0).
+
+        Cached like `adjacency`; shared by every caller.
+        """
+        cached = self.__dict__.get("_masks")
+        if cached is None:
+            masks = [0] * (self.n + 1)
+            for u, v in self.edges:
+                masks[u] |= 1 << (v - 1)
+                masks[v] |= 1 << (u - 1)
+            cached = tuple(masks)
+            object.__setattr__(self, "_masks", cached)
+        return cached
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
@@ -109,15 +125,30 @@ class SplitPartition:
 
 def _check_sides(g: Graph, clique: Sequence[int], independent: Sequence[int]):
     """Raise ValueError naming the first non-adjacent clique pair or adjacent
-    independent pair."""
+    independent pair.
+
+    Each vertex is tested against its side's mask; the pair is looked up only
+    on failure.  The first failing vertex has no bad partner before it (that
+    partner would have failed first), so it names the same pair as a scan
+    over all pairs in order.
+    """
+    masks = g.masks
+    side = 0
+    for x in clique:
+        side |= 1 << (x - 1)
     for x_idx, x in enumerate(clique):
-        for y in clique[x_idx + 1:]:
-            if not g.has_edge(x, y):
-                raise ValueError(f"clique vertices {x}, {y} are not adjacent")
+        bad = side & ~masks[x] & ~(1 << (x - 1))
+        if bad:
+            y = next(y for y in clique[x_idx + 1:] if bad >> (y - 1) & 1)
+            raise ValueError(f"clique vertices {x}, {y} are not adjacent")
+    side = 0
+    for x in independent:
+        side |= 1 << (x - 1)
     for x_idx, x in enumerate(independent):
-        for y in independent[x_idx + 1:]:
-            if g.has_edge(x, y):
-                raise ValueError(f"independent vertices {x}, {y} are adjacent")
+        bad = side & masks[x]
+        if bad:
+            y = next(y for y in independent[x_idx + 1:] if bad >> (y - 1) & 1)
+            raise ValueError(f"independent vertices {x}, {y} are adjacent")
 
 
 @dataclass(frozen=True)
@@ -218,6 +249,8 @@ def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterab
     """
     c = list(clique)
     i = sorted(independent)
+    if sorted(c + i) != list(graph.vertices()):
+        raise ValueError("clique and independent set must partition the vertices")
     cset = set(c)
     _check_sides(graph, c, i)
     moved = True
@@ -238,8 +271,8 @@ def split_partition(g: Graph) -> Optional[SplitPartition]:
 
     Uses the degree-sequence characterization: with degrees sorted descending,
     take h = max{i : d_i >= i-1}; g is split iff the h top-degree vertices form
-    a clique and the rest are independent.  The candidate is verified directly,
-    which doubles as the repair pass, then maximality is restored.
+    a clique and the rest are independent.  The candidate is verified once,
+    by `normalize_partition`, which then restores maximality.
     """
     if g.n == 0:
         return SplitPartition(g, (), ())
@@ -249,12 +282,10 @@ def split_partition(g: Graph) -> Optional[SplitPartition]:
     for idx, d in enumerate(degs, start=1):
         if d >= idx - 1:
             h = idx
-    cand_c, cand_i = order[:h], order[h:]
     try:
-        _check_sides(g, cand_c, cand_i)
+        return normalize_partition(g, sorted(order[:h]), sorted(order[h:]))
     except ValueError:
         return None
-    return normalize_partition(g, sorted(cand_c), sorted(cand_i))
 
 
 def twin_reduce(g: Graph) -> TwinReduction:

@@ -10,10 +10,17 @@ shortcut exists iff there are an edge (x, y) and a non-adjacent ordered pair
 the witness path (walks in a DAG have no repeated vertices across segments,
 since a repeat would close a cycle), and conversely any violating path yields
 such a pair, so the criterion is exact.
+
+Existence is tested per vertex a, grouping the pairs by a: with Y(a) the
+heads of all arcs whose tail reaches a, a shortcut exists iff some b in
+reach(a), b != a and not adjacent to a, reaches a vertex of Y(a).  The Y sets
+cost O(|E|) mask ORs in topological order.  The ordered scan over (arc, a)
+pairs runs only when a shortcut exists, to build the smallest witness.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,13 +47,16 @@ class Orientation:
         if len(seen) != len(self.graph.edges):
             raise ValueError("some edges are missing a direction")
 
-    def out_neighbors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.graph.vertices()}
-        for u, v in self.arcs:
-            out[u].append(v)
-        for lst in out.values():
-            lst.sort()
-        return out
+    def out_neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Sorted out-neighbors of every vertex; cached and shared, do not mutate."""
+        cached = self.__dict__.get("_out_neighbors")
+        if cached is None:
+            out: dict[int, list[int]] = {v: [] for v in self.graph.vertices()}
+            for u, v in self.arcs:
+                out[u].append(v)
+            cached = {v: tuple(sorted(lst)) for v, lst in out.items()}
+            object.__setattr__(self, "_out_neighbors", cached)
+        return cached
 
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
@@ -76,16 +86,16 @@ def topological_order(o: Orientation) -> Optional[list[int]]:
     out = o.out_neighbors()
     for _, v in o.arcs:
         indeg[v] += 1
-    queue = sorted(v for v, d in indeg.items() if d == 0)
+    queue = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(queue)
     order = []
     while queue:
-        v = queue.pop(0)
+        v = heapq.heappop(queue)
         order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-        queue.sort()
+                heapq.heappush(queue, w)
     return order if len(order) == o.graph.n else None
 
 
@@ -152,6 +162,26 @@ def _shortest_path(o: Orientation, src: int, dst: int) -> list[int]:
     raise ValueError(f"no directed path {src} -> {dst}")
 
 
+def _has_shortcut(o: Orientation, reach: list[int], adj: Sequence[int]) -> bool:
+    """Per-vertex pair criterion: some a, and some non-adjacent b != a that a
+    reaches, with b reaching the head of an arc whose tail reaches a."""
+    out = o.out_neighbors()
+    heads = [0] * (o.graph.n + 1)  # heads of arcs whose tail strictly reaches v
+    # a vertex reaches strictly more than any of its successors
+    for a in sorted(o.graph.vertices(), key=lambda v: -reach[v].bit_count()):
+        bit = 1 << (a - 1)
+        ys = heads[a] | (adj[a] & reach[a])
+        for w in out[a]:
+            heads[w] |= ys
+        bs = reach[a] & ~adj[a] & ~bit
+        while bs:
+            low = bs & -bs
+            if reach[low.bit_length()] & ys:
+                return True
+            bs ^= low
+    return False
+
+
 def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     """Smallest-witness shortcut of an acyclic orientation, or None.
 
@@ -160,16 +190,15 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     """
     n = o.graph.n
     reach = _reach_masks(o)  # raises on a cycle
+    adj = o.graph.masks
+    if not _has_shortcut(o, reach, adj):
+        return None
     co_reach = [0] * (n + 1)
     for v in o.graph.vertices():
         bit = 1 << (v - 1)
         for u in o.graph.vertices():
             if reach[u] & bit:
                 co_reach[v] |= 1 << (u - 1)
-    adj_mask = [0] * (n + 1)
-    for u, v in o.graph.edges:
-        adj_mask[u] |= 1 << (v - 1)
-        adj_mask[v] |= 1 << (u - 1)
     universe = (1 << n) - 1
     for x, y in sorted(o.arcs):
         candidates_a = reach[x]
@@ -177,7 +206,7 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
             low = candidates_a & -candidates_a
             a = low.bit_length()
             candidates_a ^= low
-            bs = reach[a] & co_reach[y] & ~adj_mask[a] & ~(1 << (a - 1)) & universe
+            bs = reach[a] & co_reach[y] & ~adj[a] & ~(1 << (a - 1)) & universe
             if bs:
                 b = (bs & -bs).bit_length()
                 seg1 = _shortest_path(o, x, a)
@@ -185,7 +214,7 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
                 seg3 = _shortest_path(o, b, y)
                 path = seg1 + seg2[1:] + seg3[1:]
                 return ShortcutWitness(tuple(path), (x, y), (a, b))
-    return None
+    raise AssertionError("per-vertex test found a shortcut the ordered scan missed; this is a bug")
 
 
 def is_semi_transitive_orientation(o: Orientation) -> bool:
@@ -213,10 +242,7 @@ def _search_semi_transitive_order(g: Graph) -> Optional[list[int]]:
     n = g.n
     if n == 0:
         return []
-    adj = [0] * (n + 1)
-    for u, v in g.edges:
-        adj[u] |= 1 << (v - 1)
-        adj[v] |= 1 << (u - 1)
+    adj = g.masks
     order: list[int] = []
     reach = [0] * (n + 1)
     co_reach = [0] * (n + 1)

@@ -47,6 +47,20 @@ def shortcut_by_path_enumeration(o: Orientation) -> bool:
     return any(walk([v]) for v in o.graph.vertices())
 
 
+def assert_shortcut_witness(o: Orientation, w) -> None:
+    """A witness is a directed path of arcs, closed by the arc from its first
+    to its last vertex, with a non-adjacent pair (a, b), a before b, on it."""
+    assert len(set(w.path)) == len(w.path) >= 3
+    for u, v in zip(w.path, w.path[1:]):
+        assert o.has_arc(u, v)
+    assert o.has_arc(*w.closing)
+    assert w.closing == (w.path[0], w.path[-1])
+    a, b = w.missing
+    ia, ib = w.path.index(a), w.path.index(b)
+    assert ia < ib
+    assert not o.has_arc(a, b) and not o.has_arc(b, a)
+
+
 def naive_semi_transitive_oracle(g: Graph):
     """First semi-transitive orientation over all n! vertex orders, literally."""
     for order in permutations(sorted(g.vertices())):

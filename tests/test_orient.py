@@ -16,12 +16,18 @@ from semitrans import (
     oracle_semi_transitive,
     orient_by_order,
     parse_orientation,
+    recognize,
     reverse_orientation,
     twin_reduce,
 )
-from semitrans.generate import forbidden_configuration
+from semitrans.generate import GenSpec, forbidden_configuration, generate
 
-from oracles import naive_semi_transitive_oracle, random_graph, shortcut_by_path_enumeration
+from oracles import (
+    assert_shortcut_witness,
+    naive_semi_transitive_oracle,
+    random_graph,
+    shortcut_by_path_enumeration,
+)
 from strategies import graphs
 
 
@@ -137,15 +143,27 @@ def test_witness_invariants_on_random_orientations():
         if w is None:
             continue
         found += 1
-        assert len(set(w.path)) == len(w.path) >= 3
-        for u, v in zip(w.path, w.path[1:]):
-            assert o.has_arc(u, v)
-        assert o.has_arc(*w.closing)
-        assert w.closing == (w.path[0], w.path[-1])
-        a, b = w.missing
-        ia, ib = w.path.index(a), w.path.index(b)
-        assert ia < ib
-        assert not o.has_arc(a, b) and not o.has_arc(b, a)
+        assert_shortcut_witness(o, w)
+
+
+def test_one_arc_flips_of_planted_orientations_against_path_enumeration():
+    # a flipped arc of a shortcut-free orientation often leaves a single
+    # shortcut, the case an existence test can miss
+    flips = {True: 0, False: 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        spec = GenSpec(k=rng.randint(3, 7), t=rng.randint(1, 4), density=0.5,
+                       seed=seed, mode="planted-yes")
+        p = next(generate(spec, count=1))
+        arcs = recognize(p).orientation.arcs
+        for u, v in sorted(arcs):
+            o = Orientation(p.graph, arcs - {(u, v)} | {(v, u)})
+            if not is_acyclic(o):
+                continue
+            expected = shortcut_by_path_enumeration(o)
+            assert (find_shortcut(o) is not None) == expected, (seed, (u, v))
+            flips[expected] += 1
+    assert flips[True] >= 50 and flips[False] >= 50, flips
 
 
 def test_reversal_preserves_semi_transitivity():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from semitrans import (
     Graph,
     Labeling,
+    Orientation,
     Shape,
     check_small_I,
     construct_orientation,
@@ -30,7 +31,9 @@ from semitrans import (
     validate_matrix_form,
 )
 from semitrans.generate import GenSpec, forbidden_configuration, generate, split_graph_from_types
+from semitrans.orient import topological_order
 
+from oracles import assert_shortcut_witness
 from strategies import split_partitions
 
 
@@ -463,6 +466,29 @@ def test_recognize_full_verification_at_realistic_scale():
         d = recognize(p)
         assert d.semi_transitive and d.verified
         assert len(d.orientation.arcs) == len(p.graph.edges)
+
+
+def test_verified_yes_and_flip_witness_at_benchmark_sizes():
+    # the benchmark's YES shapes with verify on; swapping two vertices that
+    # are consecutive in a topological order keeps the orientation acyclic,
+    # and the first swap that creates a shortcut must yield a valid witness
+    for k, t in [(400, 20), (72, 16), (40, 48)]:
+        p = next(generate(GenSpec(k=k, t=t, density=0.5, seed=1, mode="planted-yes"), count=1))
+        d = recognize(p)
+        assert d.semi_transitive and d.verified
+        arcs = d.orientation.arcs
+        order = topological_order(d.orientation)
+        for u, v in zip(order, order[1:]):
+            if (u, v) not in arcs:
+                continue
+            o = Orientation(p.graph, arcs - {(u, v)} | {(v, u)})
+            assert is_acyclic(o)
+            w = find_shortcut(o)
+            if w is not None:
+                assert_shortcut_witness(o, w)
+                break
+        else:
+            pytest.fail(f"no flip of a consecutive arc creates a shortcut at k={k}, t={t}")
 
 
 def test_wrapped_heavy_instances_against_oracle():
