@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, normalize_partition
+from .recognition import forbidden_types
 
 _MASK64 = (1 << 64) - 1
 
@@ -186,14 +187,7 @@ def planted_no_types(rng: SplitMix64, k: int, t: int, density: float) -> list[se
     """Clique types embedding one forbidden configuration on a random triple,
     padded with random adjacencies elsewhere."""
     triple = sorted(rng.shuffled(range(1, t + 1))[:3])
-    case = rng.choice("abc")
-    x, y, z = triple
-    if case == "a":
-        core = [set(), {x, y}, {x, z}, {y, z}]
-    elif case == "b":
-        core = [{x, y, z}, {x, y}, {x, z}, {y, z}]
-    else:
-        core = [{x, y, z}, {x}, {y}, {z}]
+    core = forbidden_types(*triple)[rng.choice("abc")]
     slots = sorted(rng.shuffled(range(k))[:4])
     types: list[set[int]] = []
     slot_pos = {s: i for i, s in enumerate(slots)}
@@ -265,16 +259,12 @@ FORBIDDEN_CASES = ("a", "b", "c")
 def forbidden_configuration(case: str) -> SplitPartition:
     """The minimal seven-vertex obstruction for the given case tag.
 
-    Clique 1..4, independent 5..7; case "a" types the clique (empty, both-of-
-    two, ...) as {}, {a,b}, {a,c}, {b,c}; case "b" replaces the empty type with
-    the full triple; case "c" uses the full triple plus the three singletons.
+    Clique 1..4, independent 5..7; the clique takes the four types of
+    forbidden_types for the case rotated left by one, so vertex 4 gets the
+    empty type (case "a") or the full triple (cases "b" and "c").
     """
-    if case == "a":
-        types = [{1, 2}, {1, 3}, {2, 3}, set()]
-    elif case == "b":
-        types = [{1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]
-    elif case == "c":
-        types = [{1}, {2}, {3}, {1, 2, 3}]
-    else:
+    table = forbidden_types(1, 2, 3)
+    if case not in table:
         raise ValueError(f"unknown case {case!r}")
-    return split_graph_from_types(types, 3)
+    quad = table[case]
+    return split_graph_from_types(quad[1:] + quad[:1], 3)

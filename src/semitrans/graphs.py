@@ -173,8 +173,7 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
     with "#" are ignored.
     """
     header: Optional[tuple[int, int]] = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     pinned: Optional[tuple[int, ...]] = None
     n = m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -218,12 +217,11 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
             raise GraphFormatError(line_no, f"self-loop at {u}")
         if not (1 <= u < v <= n):
             raise GraphFormatError(line_no, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
-        if (u, v) in seen:
+        if (u, v) in edges:
             raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
         if len(edges) >= m:
             raise GraphFormatError(line_no, f"more than {m} edges")
-        seen.add((u, v))
-        edges.append((u, v))
+        edges.add((u, v))
     if header is None:
         raise GraphFormatError(1, "empty input")
     if len(edges) != m:

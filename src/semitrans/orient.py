@@ -11,10 +11,12 @@ the witness path (walks in a DAG have no repeated vertices across segments,
 since a repeat would close a cycle), and conversely any violating path yields
 such a pair, so the criterion is exact.
 
+One Kahn pass gives the only vertex order the checks use: its existence
+proves acyclicity, and the reach masks are swept over it from its end.
 Existence is tested per vertex a, grouping the pairs by a: with Y(a) the
 heads of all arcs whose tail reaches a, a shortcut exists iff some b in
 reach(a), b != a and not adjacent to a, reaches a vertex of Y(a).  The Y sets
-cost O(|E|) mask ORs in topological order.  The ordered scan over (arc, a)
+cost O(|E|) mask ORs over the same order.  The ordered scan over (arc, a)
 pairs runs only when a shortcut exists, to build the smallest witness.
 """
 
@@ -81,12 +83,14 @@ def orient_by_order(g: Graph, order: Sequence[int]) -> Orientation:
 
 
 def topological_order(o: Orientation) -> Optional[list[int]]:
-    """Kahn topological order of the arcs, or None if there is a directed cycle."""
-    indeg = {v: 0 for v in o.graph.vertices()}
+    """Kahn topological order, smallest ready vertex first, or None if there
+    is a directed cycle."""
     out = o.out_neighbors()
-    for _, v in o.arcs:
-        indeg[v] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
+    indeg = [0] * (o.graph.n + 1)
+    for heads in out.values():
+        for w in heads:
+            indeg[w] += 1
+    queue = [v for v in o.graph.vertices() if indeg[v] == 0]
     heapq.heapify(queue)
     order = []
     while queue:
@@ -103,40 +107,16 @@ def is_acyclic(o: Orientation) -> bool:
     return topological_order(o) is not None
 
 
-def _reach_masks(o: Orientation) -> list[int]:
-    """reach[v-1] = bitmask of vertices reachable from v, including v itself.
-
-    Memoized DFS from each vertex; vertices are processed so that successors
-    finish first.
-    """
-    n = o.graph.n
+def _reach_masks(o: Orientation, order: Sequence[int]) -> list[int]:
+    """reach[v] = bitmask of vertices reachable from v, including v itself,
+    swept over a topological order from its end."""
     out = o.out_neighbors()
-    reach = [0] * (n + 1)
-    done = [False] * (n + 1)
-    for s in o.graph.vertices():
-        if done[s]:
-            continue
-        stack = [(s, iter(out[s]))]
-        on_stack = {s}
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not done[w]:
-                    if w in on_stack:
-                        raise ValueError("orientation contains a directed cycle")
-                    stack.append((w, iter(out[w])))
-                    on_stack.add(w)
-                    advanced = True
-                    break
-            if not advanced:
-                mask = 1 << (v - 1)
-                for w in out[v]:
-                    mask |= reach[w]
-                reach[v] = mask
-                done[v] = True
-                on_stack.discard(v)
-                stack.pop()
+    reach = [0] * (o.graph.n + 1)
+    for v in reversed(order):
+        mask = 1 << (v - 1)
+        for w in out[v]:
+            mask |= reach[w]
+        reach[v] = mask
     return reach
 
 
@@ -162,13 +142,14 @@ def _shortest_path(o: Orientation, src: int, dst: int) -> list[int]:
     raise ValueError(f"no directed path {src} -> {dst}")
 
 
-def _has_shortcut(o: Orientation, reach: list[int], adj: Sequence[int]) -> bool:
+def _has_shortcut(o: Orientation, order: Sequence[int], reach: list[int]) -> bool:
     """Per-vertex pair criterion: some a, and some non-adjacent b != a that a
-    reaches, with b reaching the head of an arc whose tail reaches a."""
+    reaches, with b reaching the head of an arc whose tail reaches a.  order
+    is a topological order, so every tail reaching a is visited before a."""
     out = o.out_neighbors()
+    adj = o.graph.masks
     heads = [0] * (o.graph.n + 1)  # heads of arcs whose tail strictly reaches v
-    # a vertex reaches strictly more than any of its successors
-    for a in sorted(o.graph.vertices(), key=lambda v: -reach[v].bit_count()):
+    for a in order:
         bit = 1 << (a - 1)
         ys = heads[a] | (adj[a] & reach[a])
         for w in out[a]:
@@ -189,10 +170,13 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     ascending order.  Raises on a cyclic input.
     """
     n = o.graph.n
-    reach = _reach_masks(o)  # raises on a cycle
-    adj = o.graph.masks
-    if not _has_shortcut(o, reach, adj):
+    order = topological_order(o)
+    if order is None:
+        raise ValueError("orientation contains a directed cycle")
+    reach = _reach_masks(o, order)
+    if not _has_shortcut(o, order, reach):
         return None
+    adj = o.graph.masks
     co_reach = [0] * (n + 1)
     for v in o.graph.vertices():
         bit = 1 << (v - 1)
@@ -218,9 +202,8 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
 
 
 def is_semi_transitive_orientation(o: Orientation) -> bool:
-    if not is_acyclic(o):
-        return False
-    return find_shortcut(o) is None
+    order = topological_order(o)
+    return order is not None and not _has_shortcut(o, order, _reach_masks(o, order))
 
 
 def reverse_orientation(o: Orientation) -> Orientation:

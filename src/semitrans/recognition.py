@@ -19,7 +19,8 @@ from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, neighborhood_matrix, split_partition
 from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
-from .orient import Orientation, find_shortcut, is_acyclic, is_semi_transitive_orientation
+from .orient import Orientation, find_shortcut, is_semi_transitive_orientation
+from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 
 
 class InternalConsistencyError(AssertionError):
@@ -324,9 +325,10 @@ def recognize(p: SplitPartition, verify: bool = True) -> Decision:
     orientation = None
     if verify:
         orientation = construct_orientation(p, labeling)
-        if not is_acyclic(orientation):
-            raise InternalConsistencyError("constructed orientation is cyclic")
-        witness = find_shortcut(orientation)
+        try:
+            witness = find_shortcut(orientation)
+        except ValueError as exc:  # a cycle: the certificate is wrong, the input is not
+            raise InternalConsistencyError("constructed orientation is cyclic") from exc
         if witness is not None:
             raise InternalConsistencyError(f"constructed orientation has a shortcut: {witness}")
     return Decision(True, labeling=labeling, orientation=orientation, verified=verify)
@@ -345,7 +347,10 @@ def enumerate_labelings_oracle(p: SplitPartition, guard: int = 8) -> Optional[La
     return None
 
 
-def _case_requirements(a: int, b: int, c: int) -> dict[str, list[frozenset[int]]]:
+def forbidden_types(a: int, b: int, c: int) -> dict[str, list[frozenset[int]]]:
+    """The paper's three forbidden configurations on the independent triple
+    (a, b, c): case tag -> the neighborhoods in the triple of the four
+    pairwise-adjacent clique vertices."""
     return {
         "a": [frozenset(), frozenset({a, b}), frozenset({a, c}), frozenset({b, c})],
         "b": [frozenset({a, b, c}), frozenset({a, b}), frozenset({a, c}), frozenset({b, c})],
@@ -401,7 +406,7 @@ def check_small_I(p: SplitPartition, verify: bool = True) -> Decision:
     present = set(types.values())
     if p.t == 3:
         a, b, c = p.independent
-        for tag, req in _case_requirements(a, b, c).items():
+        for tag, req in forbidden_types(a, b, c).items():
             if all(r in present for r in req):
                 quad = [min(u for u in p.clique if types[u] == r) for r in req]
                 witness = tuple(sorted([a, b, c] + quad))
@@ -442,7 +447,7 @@ def find_forbidden_subgraph(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
             if u in tset:
                 continue
             by_type.setdefault(frozenset(g.neighbors(u) & tset), []).append(u)
-        for tag, req in _case_requirements(a, b, c).items():
+        for tag, req in forbidden_types(a, b, c).items():
             pools = [by_type.get(r, []) for r in req]
             if not all(pools):
                 continue

@@ -3,6 +3,7 @@ import pytest
 from semitrans.cli import main
 from semitrans.generate import forbidden_configuration
 from semitrans.graphs import format_graph
+from semitrans.orient import parse_orientation
 from semitrans.recognition import InternalConsistencyError
 
 
@@ -69,16 +70,28 @@ def test_recognize_errors_exit_2(write, capsys):
     assert main(["recognize", "/nonexistent/file.graph"]) == 2
 
 
-@pytest.mark.parametrize("exc", [InternalConsistencyError("certificate failed"), RecursionError("too deep")])
+@pytest.mark.parametrize("exc", [
+    InternalConsistencyError("certificate failed"),
+    RecursionError("too deep"),
+    pytest.param(None, id="cyclic-certificate"),
+])
 def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
-    def broken(p, verify=True):
-        raise exc
+    if exc is None:
+        # the verifier raises ValueError on a cycle; recognize must report a
+        # cyclic certificate as an internal error, not as bad input (exit 2)
+        cyclic = parse_orientation("3 3\n1 > 2\n2 > 3\n3 > 1\n")
+        monkeypatch.setattr("semitrans.recognition.construct_orientation", lambda p, labeling: cyclic)
+        expected = "internal error: InternalConsistencyError"
+    else:
+        def broken(p, verify=True):
+            raise exc
 
-    monkeypatch.setattr("semitrans.cli.recognize", broken)
+        monkeypatch.setattr("semitrans.cli.recognize", broken)
+        expected = str(exc)
     assert main(["recognize", write("g.graph", PATH_GRAPH)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: ") and str(exc) in captured.err
+    assert captured.err.startswith("internal error: ") and expected in captured.err
 
 
 def test_recognize_respects_pinned_clique(write, capsys):

@@ -162,6 +162,7 @@ def test_one_arc_flips_of_planted_orientations_against_path_enumeration():
                 continue
             expected = shortcut_by_path_enumeration(o)
             assert (find_shortcut(o) is not None) == expected, (seed, (u, v))
+            assert is_semi_transitive_orientation(o) == (not expected), (seed, (u, v))
             flips[expected] += 1
     assert flips[True] >= 50 and flips[False] >= 50, flips
 
