@@ -25,7 +25,6 @@ from .matrices import (
 from .orient import (
     find_shortcut,
     format_orientation,
-    is_acyclic,
     oracle_semi_transitive,
     parse_orientation,
 )
@@ -56,10 +55,11 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_check_orientation(args) -> int:
     o = parse_orientation(_read(args.orientation))
-    if not is_acyclic(o):
+    try:
+        w = find_shortcut(o)
+    except ValueError:  # the orientation has a directed cycle; find_shortcut's Kahn pass found it
         sys.stdout.write("cyclic=true\n" if args.machine else "NOT-SEMI-TRANSITIVE\ncyclic\n")
         return 1
-    w = find_shortcut(o)
     if w is None:
         sys.stdout.write("outcome=semi-transitive\n" if args.machine else "SEMI-TRANSITIVE\n")
         return 0

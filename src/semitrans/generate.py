@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graphs import Graph, SplitPartition, normalize_partition
+from .graphs import Graph, SplitPartition, bits, normalize_partition, vertex_mask
 from .recognition import forbidden_types
 
 _MASK64 = (1 << 64) - 1
@@ -97,15 +97,16 @@ def split_graph_from_types(types: Sequence[Iterable[int]], t: int) -> SplitParti
     """
     k = len(types)
     n = k + t
-    edges = set()
-    for u, v in combinations(range(1, k + 1), 2):
-        edges.add((u, v))
+    clique = (1 << k) - 1
+    masks = [0] * (n + 1)
     for u, ty in enumerate(types, start=1):
+        masks[u] = clique & ~(1 << (u - 1))
         for i in ty:
             if not (1 <= i <= t):
                 raise ValueError(f"type element {i} outside 1..{t}")
-            edges.add((u, k + i))
-    g = Graph(n, frozenset(edges))
+            masks[u] |= 1 << (k + i - 1)
+            masks[k + i] |= 1 << (u - 1)
+    g = Graph._from_masks(n, tuple(masks))
     return normalize_partition(g, range(1, k + 1), range(k + 1, n + 1))
 
 
@@ -114,11 +115,8 @@ def masks_to_partition(k: int, masks: Sequence[int]) -> SplitPartition:
     t = len(masks)
     type_sets: list[set[int]] = [set() for _ in range(k)]
     for j, mask in enumerate(masks, start=1):
-        mm = mask
-        while mm:
-            low = mm & -mm
-            type_sets[low.bit_length() - 1].add(j)
-            mm ^= low
+        for r in bits(mask):
+            type_sets[r - 1].add(j)
     return split_graph_from_types(type_sets, t)
 
 
@@ -171,16 +169,7 @@ def planted_yes_masks(rng: SplitMix64, k: int, t: int, wrap_prob: float = 0.25) 
         masks.append(mask)
     # hide the planted order
     perm = rng.shuffled(range(k))
-    out = []
-    for mask in masks:
-        m2 = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            m2 |= 1 << perm[low.bit_length() - 1]
-            mm ^= low
-        out.append(m2)
-    return out
+    return [vertex_mask(perm[r - 1] + 1 for r in bits(mask)) for mask in masks]
 
 
 def planted_no_types(rng: SplitMix64, k: int, t: int, density: float) -> list[set[int]]:
@@ -245,10 +234,10 @@ def _exhaustive(spec: GenSpec) -> Iterator[SplitPartition]:
 
 
 def _canonical_key(p: SplitPartition):
-    iset = set(p.independent)
-    i_index = {v: i for i, v in enumerate(sorted(iset), start=1)}
+    imask = vertex_mask(p.independent)
+    i_index = {v: i for i, v in enumerate(sorted(p.independent), start=1)}
     profile = tuple(sorted(
-        tuple(sorted(i_index[w] for w in p.graph.neighbors(u) & iset)) for u in p.clique
+        tuple(i_index[w] for w in bits(p.graph.masks[u] & imask)) for u in p.clique
     ))
     return (p.k, p.t, profile)
 

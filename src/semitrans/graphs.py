@@ -1,14 +1,17 @@
 """Undirected graphs, split partitions, twin reduction and neighborhood matrices.
 
 Vertices are dense integers 1..n so that clique/independent orderings can be
-used directly as matrix row/column indices.  All values are immutable after
-construction; every operation here is a pure function.
+used directly as matrix row/column indices.  A graph is stored as one
+adjacency bitmask per vertex (bit u-1 set for neighbor u); every layer reads
+those masks.  All values are immutable after construction; every operation
+here is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .matrices import BinaryMatrix
 
@@ -21,19 +24,53 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+def bits(mask: int) -> Iterator[int]:
+    """Ids of the set bits of mask in ascending order (bit u-1 stands for u)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v-1 set for every v in vertices."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - 1)
+    return mask
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Simple undirected graph on vertices 1..n, edges stored as (u, v) with u < v."""
+    """Simple undirected graph on vertices 1..n.
+
+    masks[v] has bit u-1 set for every neighbor u of v, and masks[0] is 0.
+    Equality and hashing use (n, masks); the edge set is derived on demand.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+        masks = [0] * (n + 1)
+        for u, v in edges:
+            if not (1 <= u < v <= n):
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+            masks[u] |= 1 << (v - 1)
+            masks[v] |= 1 << (u - 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Graph":
+        """Wrap adjacency masks the caller has already validated: symmetric,
+        no self-loops, no bit at or above n, masks[0] == 0."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "masks", masks)
+        return g
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -42,46 +79,21 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             norm.add((u, v) if u < v else (v, u))
-        return Graph(n, frozenset(norm))
+        return Graph(n, norm)
 
-    @property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        cached = self.__dict__.get("_adjacency")
-        if cached is None:
-            adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            cached = {v: frozenset(s) for v, s in adj.items()}
-            object.__setattr__(self, "_adjacency", cached)
-        return cached
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """masks[v] has bit u-1 set for every neighbor u of v (masks[0] is 0).
-
-        Cached like `adjacency`; shared by every caller.
-        """
-        cached = self.__dict__.get("_masks")
-        if cached is None:
-            masks = [0] * (self.n + 1)
-            for u, v in self.edges:
-                masks[u] |= 1 << (v - 1)
-                masks[v] |= 1 << (u - 1)
-            cached = tuple(masks)
-            object.__setattr__(self, "_masks", cached)
-        return cached
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as (u, v) with u < v; built on first use and cached."""
+        return frozenset((u, u + w) for u in self.vertices() for w in bits(self.masks[u] >> u))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
+        return frozenset(bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        return 1 <= u <= self.n and 1 <= v and bool(self.masks[u] >> (v - 1) & 1)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -107,11 +119,11 @@ class SplitPartition:
         if sorted(c + i) != list(g.vertices()):
             raise ValueError("clique and independent set must partition the vertices")
         _check_sides(g, c, i)
-        cset = set(c)
+        cmask = vertex_mask(c)
         for v in i:
-            if cset and cset <= g.neighbors(v):
+            if cmask and cmask & g.masks[v] == cmask:
                 raise ValueError(f"independent vertex {v} is adjacent to all of the clique")
-            if not cset:
+            if not cmask:
                 raise ValueError(f"independent vertex {v} with empty clique violates maximality")
 
     @property
@@ -133,17 +145,13 @@ def _check_sides(g: Graph, clique: Sequence[int], independent: Sequence[int]):
     over all pairs in order.
     """
     masks = g.masks
-    side = 0
-    for x in clique:
-        side |= 1 << (x - 1)
+    side = vertex_mask(clique)
     for x_idx, x in enumerate(clique):
         bad = side & ~masks[x] & ~(1 << (x - 1))
         if bad:
             y = next(y for y in clique[x_idx + 1:] if bad >> (y - 1) & 1)
             raise ValueError(f"clique vertices {x}, {y} are not adjacent")
-    side = 0
-    for x in independent:
-        side |= 1 << (x - 1)
+    side = vertex_mask(independent)
     for x_idx, x in enumerate(independent):
         bad = side & masks[x]
         if bad:
@@ -173,7 +181,8 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
     with "#" are ignored.
     """
     header: Optional[tuple[int, int]] = None
-    edges: set[tuple[int, int]] = set()
+    masks: list[int] = []
+    count = 0
     pinned: Optional[tuple[int, ...]] = None
     n = m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -191,6 +200,7 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
             if n < 0 or m < 0:
                 raise GraphFormatError(line_no, "negative header value")
             header = (n, m)
+            masks = [0] * (n + 1)
             continue
         if line.startswith("C:"):
             if pinned is not None:
@@ -217,16 +227,19 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
             raise GraphFormatError(line_no, f"self-loop at {u}")
         if not (1 <= u < v <= n):
             raise GraphFormatError(line_no, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
-        if (u, v) in edges:
+        bit = 1 << (v - 1)
+        if masks[u] & bit:
             raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
-        if len(edges) >= m:
+        if count >= m:
             raise GraphFormatError(line_no, f"more than {m} edges")
-        edges.add((u, v))
+        masks[u] |= bit
+        masks[v] |= 1 << (u - 1)
+        count += 1
     if header is None:
         raise GraphFormatError(1, "empty input")
-    if len(edges) != m:
-        raise GraphFormatError(1, f"header promised {m} edges, found {len(edges)}")
-    return Graph(n, frozenset(edges)), pinned
+    if count != m:
+        raise GraphFormatError(1, f"header promised {m} edges, found {count}")
+    return Graph._from_masks(n, tuple(masks)), pinned
 
 
 def format_graph(g: Graph, clique: Optional[Iterable[int]] = None) -> str:
@@ -249,15 +262,16 @@ def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterab
     i = sorted(independent)
     if sorted(c + i) != list(graph.vertices()):
         raise ValueError("clique and independent set must partition the vertices")
-    cset = set(c)
     _check_sides(graph, c, i)
+    cmask = vertex_mask(c)
+    masks = graph.masks
     moved = True
     while moved:
         moved = False
         for v in i:
-            if cset <= graph.neighbors(v):
+            if cmask & masks[v] == cmask:
                 c.append(v)
-                cset.add(v)
+                cmask |= 1 << (v - 1)
                 i.remove(v)
                 moved = True
                 break
@@ -274,8 +288,9 @@ def split_partition(g: Graph) -> Optional[SplitPartition]:
     """
     if g.n == 0:
         return SplitPartition(g, (), ())
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+    masks = g.masks
+    order = sorted(g.vertices(), key=lambda v: -masks[v].bit_count())  # stable: ties by id
+    degs = [masks[v].bit_count() for v in order]
     h = 0
     for idx, d in enumerate(degs, start=1):
         if d >= idx - 1:
@@ -293,29 +308,20 @@ def twin_reduce(g: Graph) -> TwinReduction:
     reduced graph is relabeled to dense ids 1..n' with the original ids in
     `kept`; `removals` logs (kept, removed) pairs in original ids.
     """
-    live = sorted(g.vertices())
+    live = list(g.vertices())
     removed_pairs: list[tuple[int, int]] = []
     # restricting neighborhoods to live vertices as we go
-    neigh = {v: set(g.neighbors(v)) for v in live}
+    neigh = list(g.masks)
     while True:
-        pair = None
-        for ai in range(len(live)):
-            a = live[ai]
-            na = neigh[a]
-            for b in live[ai + 1:]:
-                if na - {b} == neigh[b] - {a}:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
+        pair = next(((a, b) for ai, a in enumerate(live) for b in live[ai + 1:]
+                     if neigh[a] & ~(1 << (b - 1)) == neigh[b] & ~(1 << (a - 1))), None)
         if pair is None:
             break
         a, b = pair
         live.remove(b)
-        for v in neigh[b]:
-            neigh[v].discard(b)
-        del neigh[b]
-        removed_pairs.append((a, b))
+        for v in bits(neigh[b]):
+            neigh[v] &= ~(1 << (b - 1))
+        removed_pairs.append(pair)
     return TwinReduction(induced_subgraph(g, live)[0], tuple(live), tuple(removed_pairs))
 
 
@@ -329,8 +335,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
         if not (1 <= v <= g.n):
             raise ValueError(f"vertex {v} not in graph")
     relabel = {old: new for new, old in enumerate(svert, start=1)}
-    edges = {(relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel}
-    return Graph(len(svert), frozenset(edges)), {new: old for old, new in relabel.items()}
+    keep = vertex_mask(svert)
+    masks = [0] + [vertex_mask(relabel[u] for u in bits(g.masks[v] & keep)) for v in svert]
+    return Graph._from_masks(len(svert), tuple(masks)), {new: old for old, new in relabel.items()}
 
 
 def neighborhood_matrix(p: SplitPartition) -> BinaryMatrix:
@@ -339,11 +346,6 @@ def neighborhood_matrix(p: SplitPartition) -> BinaryMatrix:
     Row order is p.clique, column order is p.independent; columns are labeled
     with the independent vertex ids.
     """
-    row = {u: r for r, u in enumerate(p.clique)}
-    cols = []
-    for v in p.independent:
-        mask = 0
-        for u in p.graph.neighbors(v):
-            mask |= 1 << row[u]
-        cols.append(mask)
+    row = {u: r for r, u in enumerate(p.clique, start=1)}
+    cols = [vertex_mask(row[u] for u in bits(p.graph.masks[v])) for v in p.independent]
     return BinaryMatrix(p.k, p.t, tuple(cols), tuple(p.independent))

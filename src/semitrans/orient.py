@@ -26,37 +26,41 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, bits
 from .matrices import SizeGuardError
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """A direction (tail, head) for every edge of the base graph."""
+    """A direction (tail, head) for every edge of the base graph.
+
+    Validation builds one out-mask per vertex (bit v-1 set for every arc
+    (u, v)): every arc must be a bit of the graph's adjacency masks, no edge
+    may be oriented both ways, and there must be one arc per edge.
+    """
 
     graph: Graph
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        seen = set()
+        n, adj = self.graph.n, self.graph.masks
+        out = [0] * (n + 1)
         for u, v in self.arcs:
-            e = (u, v) if u < v else (v, u)
-            if e not in self.graph.edges:
+            if not (1 <= u <= n and 1 <= v and adj[u] >> (v - 1) & 1):
                 raise ValueError(f"arc ({u}, {v}) is not an edge of the base graph")
-            if e in seen:
-                raise ValueError(f"edge {e} oriented twice")
-            seen.add(e)
-        if len(seen) != len(self.graph.edges):
+            if out[v] >> (u - 1) & 1:
+                raise ValueError(f"edge {(u, v) if u < v else (v, u)} oriented twice")
+            out[u] |= 1 << (v - 1)
+        if 2 * len(self.arcs) != sum(m.bit_count() for m in adj):
             raise ValueError("some edges are missing a direction")
+        object.__setattr__(self, "_out_masks", out)
 
     def out_neighbors(self) -> dict[int, tuple[int, ...]]:
         """Sorted out-neighbors of every vertex; cached and shared, do not mutate."""
         cached = self.__dict__.get("_out_neighbors")
         if cached is None:
-            out: dict[int, list[int]] = {v: [] for v in self.graph.vertices()}
-            for u, v in self.arcs:
-                out[u].append(v)
-            cached = {v: tuple(sorted(lst)) for v, lst in out.items()}
+            out = self.__dict__["_out_masks"]
+            cached = {v: tuple(bits(out[v])) for v in self.graph.vertices()}
             object.__setattr__(self, "_out_neighbors", cached)
         return cached
 
@@ -78,8 +82,7 @@ def orient_by_order(g: Graph, order: Sequence[int]) -> Orientation:
     if sorted(order) != list(g.vertices()):
         raise ValueError("order is not a permutation of the vertices")
     pos = {v: i for i, v in enumerate(order)}
-    arcs = frozenset((u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges)
-    return Orientation(g, arcs)
+    return Orientation(g, frozenset((u, v) for u in order for v in bits(g.masks[u]) if pos[u] < pos[v]))
 
 
 def topological_order(o: Orientation) -> Optional[list[int]]:
@@ -139,7 +142,7 @@ def _shortest_path(o: Orientation, src: int, dst: int) -> list[int]:
                         return path[::-1]
                     nxt.append(w)
         frontier = nxt
-    raise ValueError(f"no directed path {src} -> {dst}")
+    raise AssertionError(f"no directed path {src} -> {dst}; the reach masks are wrong, this is a bug")
 
 
 def _has_shortcut(o: Orientation, order: Sequence[int], reach: list[int]) -> bool:
@@ -154,12 +157,8 @@ def _has_shortcut(o: Orientation, order: Sequence[int], reach: list[int]) -> boo
         ys = heads[a] | (adj[a] & reach[a])
         for w in out[a]:
             heads[w] |= ys
-        bs = reach[a] & ~adj[a] & ~bit
-        while bs:
-            low = bs & -bs
-            if reach[low.bit_length()] & ys:
-                return True
-            bs ^= low
+        if any(reach[b] & ys for b in bits(reach[a] & ~adj[a] & ~bit)):
+            return True
     return False
 
 
@@ -167,7 +166,8 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     """Smallest-witness shortcut of an acyclic orientation, or None.
 
     Deterministic: arcs are scanned in sorted order, then pair endpoints in
-    ascending order.  Raises on a cyclic input.
+    ascending order.  Raises ValueError on a cyclic input, and on nothing
+    else: an internal inconsistency raises AssertionError.
     """
     n = o.graph.n
     order = topological_order(o)
@@ -185,14 +185,10 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
                 co_reach[v] |= 1 << (u - 1)
     universe = (1 << n) - 1
     for x, y in sorted(o.arcs):
-        candidates_a = reach[x]
-        while candidates_a:
-            low = candidates_a & -candidates_a
-            a = low.bit_length()
-            candidates_a ^= low
+        for a in bits(reach[x]):
             bs = reach[a] & co_reach[y] & ~adj[a] & ~(1 << (a - 1)) & universe
             if bs:
-                b = (bs & -bs).bit_length()
+                b = next(bits(bs))
                 seg1 = _shortest_path(o, x, a)
                 seg2 = _shortest_path(o, a, b)
                 seg3 = _shortest_path(o, b, y)
@@ -263,35 +259,20 @@ def _search_semi_transitive_order(g: Graph) -> Optional[list[int]]:
         # exact check: any new shortcut uses v as the closing-arc head: an arc
         # (x, v) and a non-adjacent ordered pair (a, b) with x ~> a ~> b ~> v
         m = 0
-        im = in_mask
-        while im:
-            low = im & -im
-            m |= reach[low.bit_length()]
-            im ^= low
-        am = m
-        while am:
-            low = am & -am
-            a = low.bit_length()
-            am ^= low
-            if reach[a] & gained & ~adj[a] & ~low:
+        for x in bits(in_mask):
+            m |= reach[x]
+        for a in bits(m):
+            if reach[a] & gained & ~adj[a] & ~(1 << (a - 1)):
                 return False
         # lookahead on the new pairs (a, v): an unplaced y adjacent to v and to
         # any placed x reaching a will close an unavoidable shortcut once
         # placed (x -> y arises by placement order, v -> y by adjacency)
         future = adj[v] & ~placed & universe
         if future:
-            am = gained & ~adj[v] & ~bit
-            while am:
-                low = am & -am
-                a = low.bit_length()
-                am ^= low
+            for a in bits(gained & ~adj[v] & ~bit):
                 xs = co_reach[a]
-                ys = future
-                while ys:
-                    ylow = ys & -ys
-                    ys ^= ylow
-                    if adj[ylow.bit_length()] & xs:
-                        return False
+                if any(adj[y] & xs for y in bits(future)):
+                    return False
         return True
 
     def retract(v: int):
@@ -385,7 +366,7 @@ def parse_orientation(text: str) -> Orientation:
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arcs, found {len(lines) - 1}")
     arcs = set()
-    edges = set()
+    masks = [0] * (n + 1)
     for idx, ln in enumerate(lines[1:], start=2):
         toks = ln.replace(">", " > ").split()
         if len(toks) != 3 or toks[1] != ">":
@@ -395,12 +376,14 @@ def parse_orientation(text: str) -> Orientation:
             raise ValueError(f"line {idx}: self-loop at {u}")
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"line {idx}: vertex out of range 1..{n}")
-        e = (min(u, v), max(u, v))
-        if e in edges:
-            raise ValueError(f"line {idx}: edge {e} oriented twice")
-        edges.add(e)
+        if masks[u] >> (v - 1) & 1:
+            raise ValueError(f"line {idx}: edge {(min(u, v), max(u, v))} oriented twice")
+        masks[u] |= 1 << (v - 1)
+        masks[v] |= 1 << (u - 1)
         arcs.add((u, v))
-    return Orientation(Graph(n, frozenset(edges)), frozenset(arcs))
+    if n < 0:  # only reachable with m == 0: any arc line fails the range check
+        raise ValueError("vertex count must be nonnegative")
+    return Orientation(Graph._from_masks(n, tuple(masks)), frozenset(arcs))
 
 
 def format_orientation(o: Orientation) -> str:

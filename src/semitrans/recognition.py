@@ -14,10 +14,12 @@ seven-vertex configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, SplitPartition, neighborhood_matrix, split_partition
+from .graphs import Graph, SplitPartition, bits, neighborhood_matrix, split_partition, vertex_mask
 from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
 from .orient import Orientation, find_shortcut, is_semi_transitive_orientation
 from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
@@ -117,7 +119,7 @@ def shape_of(p: SplitPartition, labeling: Labeling, v: int) -> Optional[Shape]:
     """Classify N(v) of an independent vertex under the labeling (None = violation)."""
     if v not in p.independent:
         raise ValueError(f"{v} is not an independent vertex of the partition")
-    positions = sorted(labeling.position_of(u) for u in p.graph.neighbors(v))
+    positions = sorted(labeling.position_of(u) for u in bits(p.graph.masks[v]))
     return classify_positions(p.k, positions)
 
 
@@ -139,12 +141,13 @@ def _pair_ok(u_shape: Shape, v_shape: Shape) -> Optional[int]:
     return 2
 
 
-def _labeling_shapes(p: SplitPartition, labeling: Labeling) -> list[Optional[Shape]]:
-    """Shape of every independent vertex's neighborhood, in p.independent order."""
+def _labeling_shapes(p: SplitPartition, labeling: Labeling, masks: Sequence[int]) -> list[Optional[Shape]]:
+    """Shape of every independent vertex's neighborhood, in p.independent
+    order; masks are the columns of neighborhood_matrix(p)."""
     if sorted(labeling.order) != sorted(p.clique):
         raise ValueError("labeling is not a bijection on the clique")
     row_of = {u: r for r, u in enumerate(p.clique, start=1)}
-    return shapes_under_order(p.k, neighborhood_matrix(p).columns, [row_of[u] for u in labeling.order])
+    return shapes_under_order(p.k, masks, [row_of[u] for u in labeling.order])
 
 
 def _violations(shapes: Sequence[Optional[Shape]], ids: Sequence[int]) -> Iterator[Violation]:
@@ -168,7 +171,7 @@ def validate_shapes(shapes: Sequence[Optional[Shape]]) -> bool:
 
 def validate_labeling(p: SplitPartition, labeling: Labeling) -> LabelingReport:
     """Check the three labeling conditions, reporting each violation found."""
-    found = tuple(_violations(_labeling_shapes(p, labeling), p.independent))
+    found = tuple(_violations(_labeling_shapes(p, labeling, neighborhood_matrix(p).columns), p.independent))
     return LabelingReport(not found, found)
 
 
@@ -249,17 +252,7 @@ def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Seq
     pos_of_row = [0] * (k + 1)
     for pos, r in enumerate(row_order, start=1):
         pos_of_row[r] = pos
-    out = []
-    for mask in neighborhood_masks:
-        positions = []
-        mm = mask
-        while mm:
-            low = mm & -mm
-            positions.append(pos_of_row[low.bit_length()])
-            mm ^= low
-        positions.sort()
-        out.append(classify_positions(k, positions))
-    return out
+    return [classify_positions(k, sorted(pos_of_row[r] for r in bits(mask))) for mask in neighborhood_masks]
 
 
 def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
@@ -270,26 +263,22 @@ def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
     cycle through the clique tournament.  Interval vertices are uniformly made
     sources; empty ones stay isolated.
     """
-    shapes = _labeling_shapes(p, labeling)
+    shapes = _labeling_shapes(p, labeling, neighborhood_matrix(p).columns)
     found = tuple(_violations(shapes, p.independent))
     if found:
         raise ValueError(f"labeling does not satisfy the conditions: {found}")
+    return _orient_labeling(p, labeling, shapes)
+
+
+def _orient_labeling(p: SplitPartition, labeling: Labeling, shapes: Sequence[Shape]) -> Orientation:
+    """construct_orientation for shapes already computed and found valid."""
+    order = labeling.order
+    arcs = {(u, v) for i, u in enumerate(order) for v in order[i + 1:]}
     pos = labeling.as_dict()
-    arcs = set()
-    for u, v in combinations(p.clique, 2):
-        arcs.add((u, v) if pos[u] < pos[v] else (v, u))
+    masks = p.graph.masks
     for v, s in zip(p.independent, shapes):
-        if s.kind == "empty":
-            continue
-        if s.kind == "interval":
-            for u in p.graph.neighbors(v):
-                arcs.add((v, u))
-        else:
-            for u in p.graph.neighbors(v):
-                if pos[u] <= s.a:
-                    arcs.add((u, v))
-                else:
-                    arcs.add((v, u))
+        for u in bits(masks[v]):
+            arcs.add((u, v) if s.kind == "wrapped" and pos[u] <= s.a else (v, u))
     return Orientation(p.graph, frozenset(arcs))
 
 
@@ -317,14 +306,14 @@ def recognize(p: SplitPartition, verify: bool = True) -> Decision:
             return small
         return Decision(False, refutation=Refutation("circ1p-fail"))
     labeling = Labeling(tuple(p.clique[r - 1] for r in perm))
-    report = validate_labeling(p, labeling)
-    if not report.ok:
-        raise InternalConsistencyError(
-            f"circular-ones certificate produced an invalid labeling: {report.violations}"
-        )
+    # masks and shapes are computed once and shared by validation and construction
+    shapes = _labeling_shapes(p, labeling, masks)
+    found = tuple(_violations(shapes, p.independent))
+    if found:
+        raise InternalConsistencyError(f"circular-ones certificate produced an invalid labeling: {found}")
     orientation = None
     if verify:
-        orientation = construct_orientation(p, labeling)
+        orientation = _orient_labeling(p, labeling, shapes)
         try:
             witness = find_shortcut(orientation)
         except ValueError as exc:  # a cycle: the certificate is wrong, the input is not
@@ -401,18 +390,18 @@ def check_small_I(p: SplitPartition, verify: bool = True) -> Decision:
     """
     if p.t > 3:
         raise ValueError(f"|I|={p.t} exceeds 3; reduce twins first")
-    iset = set(p.independent)
-    types = {u: frozenset(p.graph.neighbors(u) & iset) for u in p.clique}
-    present = set(types.values())
+    imask = vertex_mask(p.independent)
+    types = {u: p.graph.masks[u] & imask for u in p.clique}
+    present = {frozenset(bits(ty)) for ty in set(types.values())}
     if p.t == 3:
         a, b, c = p.independent
         for tag, req in forbidden_types(a, b, c).items():
             if all(r in present for r in req):
-                quad = [min(u for u in p.clique if types[u] == r) for r in req]
+                quad = [min(u for u in p.clique if types[u] == want) for want in map(vertex_mask, req)]
                 witness = tuple(sorted([a, b, c] + quad))
                 return Decision(False, refutation=Refutation(f"case-{tag}", witness))
     slots = _slot_order(p.independent, present)
-    slot_index = {ty: i for i, ty in enumerate(slots)}
+    slot_index = {vertex_mask(ty): i for i, ty in enumerate(slots)}
     order = tuple(sorted(p.clique, key=lambda u: (slot_index[types[u]], u)))
     labeling = Labeling(order)
     report = validate_labeling(p, labeling)
@@ -436,39 +425,37 @@ def find_forbidden_subgraph(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
     """
     if split_partition(g) is None:
         raise ValueError("not a split graph")
-    verts = list(g.vertices())
-    for triple in combinations(verts, 3):
+    masks = g.masks
+    universe = (1 << g.n) - 1
+    for triple in combinations(g.vertices(), 3):
         a, b, c = triple
         if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
             continue
-        tset = {a, b, c}
-        by_type: dict[frozenset[int], list[int]] = {}
-        for u in verts:
-            if u in tset:
-                continue
-            by_type.setdefault(frozenset(g.neighbors(u) & tset), []).append(u)
+        others = universe & ~vertex_mask(triple)
         for tag, req in forbidden_types(a, b, c).items():
-            pools = [by_type.get(r, []) for r in req]
+            # pool i: the vertices outside the triple whose neighborhood in it is req[i]
+            pools = [reduce(and_, (masks[x] if x in r else ~masks[x] for x in triple), others) for r in req]
             if not all(pools):
                 continue
-            quad = _adjacent_quad(g, pools)
+            quad = _adjacent_quad(masks, pools)
             if quad is not None:
                 return f"case-{tag}", tuple(sorted(triple + quad))
     return None
 
 
-def _adjacent_quad(g: Graph, pools: list[list[int]]) -> Optional[tuple[int, ...]]:
-    for u1 in pools[0]:
-        for u2 in pools[1]:
-            if not g.has_edge(u1, u2):
-                continue
-            for u3 in pools[2]:
-                if not (g.has_edge(u1, u3) and g.has_edge(u2, u3)):
-                    continue
-                for u4 in pools[3]:
-                    if g.has_edge(u1, u4) and g.has_edge(u2, u4) and g.has_edge(u3, u4):
-                        return (u1, u2, u3, u4)
+def _adjacent_quad(masks: Sequence[int], pools: list[int]) -> Optional[tuple[int, ...]]:
+    """First pairwise-adjacent (u1, u2, u3, u4) with u_i in pool i, ascending u1, then u2, u3, u4."""
+    for u1 in bits(pools[0]):
+        for u2 in bits(pools[1] & masks[u1]):
+            for u3 in bits(pools[2] & masks[u1] & masks[u2]):
+                for u4 in bits(pools[3] & masks[u1] & masks[u2] & masks[u3]):
+                    return (u1, u2, u3, u4)
     return None
+
+
+def _sorted_arcs(o: Orientation) -> Iterator[tuple[int, int]]:
+    """The arcs in sorted order, read off the ascending out-neighbor lists."""
+    return ((u, v) for u, heads in o.out_neighbors().items() for v in heads)
 
 
 def render_decision(d: Decision, machine: bool = False) -> str:
@@ -478,7 +465,7 @@ def render_decision(d: Decision, machine: bool = False) -> str:
         if d.semi_transitive:
             lines.append("labeling=" + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
             if d.orientation is not None:
-                lines.append("orientation=" + " ".join(f"{u}>{v}" for u, v in sorted(d.orientation.arcs)))
+                lines.append("orientation=" + " ".join(f"{u}>{v}" for u, v in _sorted_arcs(d.orientation)))
             lines.append(f"verified={'true' if d.verified else 'false'}")
         else:
             lines.append(f"witness={d.refutation.kind}")
@@ -490,7 +477,7 @@ def render_decision(d: Decision, machine: bool = False) -> str:
         lines.append("labeling: " + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
         if d.orientation is not None:
             lines.append("orientation:")
-            lines.extend(f"{u} > {v}" for u, v in sorted(d.orientation.arcs))
+            lines.extend(f"{u} > {v}" for u, v in _sorted_arcs(d.orientation))
         return "\n".join(lines) + "\n"
     lines = ["NOT-SEMI-TRANSITIVE"]
     witness = d.refutation.kind

@@ -9,12 +9,16 @@ from semitrans.generate import split_graph_from_types
 
 
 @st.composite
-def graphs(draw, max_n=7):
+def edge_sets(draw, max_n=7):
+    """(n, edges): a vertex count and a set of pairs (u, v) with 1 <= u < v <= n."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1)) if pairs else 0
-    edges = frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1)
-    return Graph(n, edges)
+    return n, frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1)
+
+
+def graphs(max_n=7):
+    return edge_sets(max_n).map(lambda case: Graph(*case))
 
 
 @st.composite

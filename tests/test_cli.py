@@ -80,7 +80,7 @@ def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
         # the verifier raises ValueError on a cycle; recognize must report a
         # cyclic certificate as an internal error, not as bad input (exit 2)
         cyclic = parse_orientation("3 3\n1 > 2\n2 > 3\n3 > 1\n")
-        monkeypatch.setattr("semitrans.recognition.construct_orientation", lambda p, labeling: cyclic)
+        monkeypatch.setattr("semitrans.recognition._orient_labeling", lambda p, labeling, shapes: cyclic)
         expected = "internal error: InternalConsistencyError"
     else:
         def broken(p, verify=True):
@@ -114,9 +114,12 @@ def test_check_orientation(write, capsys):
     out = capsys.readouterr().out
     assert "shortcut path: 1 2 3 4" in out
     assert "closing: 1 > 4" in out and "missing: 1 3" in out
-    cyclic = "3 3\n1 > 2\n2 > 3\n3 > 1\n"
+    cyclic = "4 4\n1 > 2\n2 > 3\n3 > 1\n3 > 4\n"
     assert main(["check-orientation", write("o3.orient", cyclic)]) == 1
-    assert "cyclic" in capsys.readouterr().out
+    assert capsys.readouterr().out == "NOT-SEMI-TRANSITIVE\ncyclic\n"
+    assert main(["check-orientation", write("o3.orient", cyclic), "--machine"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "cyclic=true\n" and captured.err == ""
 
 
 def test_oracle_command(write, capsys):

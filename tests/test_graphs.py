@@ -19,7 +19,7 @@ from semitrans import (
 from semitrans.generate import forbidden_configuration, split_graph_from_types
 
 from oracles import bipartition_split_oracle, random_graph
-from strategies import graphs, split_partitions
+from strategies import edge_sets, graphs, split_partitions
 
 
 def complete_graph(n):
@@ -55,24 +55,73 @@ def test_parse_comments_blank_lines_and_pin():
     assert g.n == 4 and pinned == (1, 2)
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("", "empty"),
-    ("2 1\n2 1\n", "u < v"),
-    ("2 1\n1 3\n", "u < v"),
-    ("2 2\n1 2\n1 2\n", "duplicate"),
-    ("2 x\n", "non-integer"),
-    ("3 1\n1 2\n1 3\n", "more than"),
-])
+# input -> (short tag, full message): every GraphFormatError branch, with
+# comments, blank lines, CRLF line ends and a "C:" line that is not last
+PARSE_ERRORS = {
+    "": ("empty", "line 1: empty input"),
+    "# comment\n\n   \n": ("empty", "line 1: empty input"),
+    "3\n": ("header", "line 1: expected header 'n m'"),
+    "# c\n\n3 1 2\n": ("header", "line 3: expected header 'n m'"),
+    "2 x\n": ("non-integer", "line 1: non-integer header"),
+    "1.5 0\n": ("non-integer header", "line 1: non-integer header"),
+    "-1 0\n": ("negative", "line 1: negative header value"),
+    "3 -2\n": ("negative m", "line 1: negative header value"),
+    "3 1\nC: 1\nC: 2\n1 2\n": ("C: twice", "line 3: duplicate 'C:' line"),
+    "3 1\n1 2\nC: 1 x\n": ("C: non-integer", "line 3: non-integer vertex id in 'C:' line"),
+    "3 1\n1 2\nC: 4\n": ("C: range", "line 3: clique vertex 4 out of range 1..3"),
+    "3 1\r\nC: 0 1\r\n1 2\r\n": ("C: zero", "line 2: clique vertex 0 out of range 1..3"),
+    "3 1\n1 2\nC: 1 2 1\n": ("C: repeated", "line 3: repeated vertex in 'C:' line"),
+    "3 1\n 1 2 3 \n": ("three tokens", "line 2: expected edge 'u v', got '1 2 3'"),
+    "3 1\r\n# c\r\n7\r\n": ("one token", "line 3: expected edge 'u v', got '7'"),
+    "3 1\na b\n": ("non-integer id", "line 2: non-integer vertex id"),
+    "3 1\n\n2 2\n": ("self-loop", "line 3: self-loop at 2"),
+    "2 1\n2 1\n": ("u < v", "line 2: edge (2, 1) must satisfy 1 <= u < v <= 2"),
+    "2 1\n1 3\n": ("u < v", "line 2: edge (1, 3) must satisfy 1 <= u < v <= 2"),
+    "3 1\n0 1\n": ("zero id", "line 2: edge (0, 1) must satisfy 1 <= u < v <= 3"),
+    "2 2\n1 2\n1 2\n": ("duplicate", "line 3: duplicate edge (1, 2)"),
+    "3 2\r\n# c\r\n1 2\r\n\r\nC: 1 2\r\n1 2\r\n": ("duplicate CRLF", "line 6: duplicate edge (1, 2)"),
+    "3 1\n1 2\n1 2\n": ("duplicate first", "line 3: duplicate edge (1, 2)"),
+    "3 1\n1 2\n1 3\n": ("more than", "line 3: more than 1 edges"),
+    "3 2\n1 2\nC: 1 2\n": ("promised", "line 1: header promised 2 edges, found 1"),
+    "# c\n4 0\n\n1 2\n": ("promised zero", "line 4: more than 0 edges"),
+}
+
+
+@pytest.mark.parametrize("text,fragment", [(text, tag) for text, (tag, _) in PARSE_ERRORS.items()])
 def test_parse_errors(text, fragment):
-    with pytest.raises((GraphFormatError, ValueError)) as exc:
+    with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
-    assert fragment in str(exc.value)
+    assert str(exc.value) == PARSE_ERRORS[text][1]
 
 
 def test_format_round_trip():
     g = parse_graph("4 3\n1 2\n2 3\n1 4\n")
     g2, pinned = parse_graph_pinned(format_graph(g, clique=(1, 2)))
     assert g2 == g and pinned == (1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_sets(max_n=8), edge_sets(max_n=8))
+def test_graph_api_against_plain_edge_set(case, other):
+    n, edges = case
+    g = Graph(n, edges)
+    assert g.edges == edges
+    for v in range(1, n + 1):
+        expected = {u for e in edges if v in e for u in e if u != v}
+        assert g.neighbors(v) == expected and g.degree(v) == len(expected)
+    for u in range(0, n + 2):  # 0 and n+1 are out of range; u == v is never an edge
+        for v in range(0, n + 2):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    same = Graph.from_edges(n, [(v, u) for u, v in edges])
+    assert same == g and hash(same) == hash(g)
+    h = Graph(*other)
+    assert (h == g) == (other == case)
+    if other == case:
+        assert hash(h) == hash(g)
+    if n >= 2:
+        toggled = edges ^ {(1, 2)}
+        assert Graph(n, toggled) != g
+    assert parse_graph(format_graph(g)) == g
 
 
 # -- split partitions ------------------------------------------------------

@@ -54,14 +54,25 @@ def test_bench_single_cell_has_no_slopes():
     assert "n/a" in report.render()
 
 
+def _min_cells(ks, ts, grids=3):
+    """Per-cell minimum of the bench medians over repeated grids on the same
+    instances: a cell slowed by another process in one grid is timed again
+    in the next, so the ratio reflects the code rather than the host."""
+    cells = {}
+    for _ in range(grids):
+        for k, t, med in bench(ks=ks, ts=ts, reps=3, seed=2).rows:
+            cells[k, t] = min(med, cells.get((k, t), med))
+    return cells
+
+
 def test_bench_doubling_ratios():
     # doubling t at fixed k lands near the quadratic model; doubling k near
     # the linear one (generous envelopes for constant factors)
-    t_rows = {t: med for _, t, med in bench(ks=[64], ts=[64, 128], reps=3, seed=2).rows}
-    ratio_t = t_rows[128] / t_rows[64]
+    t_cells = _min_cells([64], [64, 128])
+    ratio_t = t_cells[64, 128] / t_cells[64, 64]
     assert 2.0 <= ratio_t <= 6.0, ratio_t
-    k_rows = {k: med for k, _, med in bench(ks=[512, 1024], ts=[24], reps=3, seed=2).rows}
-    ratio_k = k_rows[1024] / k_rows[512]
+    k_cells = _min_cells([512, 1024], [24])
+    ratio_k = k_cells[1024, 24] / k_cells[512, 24]
     assert 1.3 <= ratio_k <= 4.0, ratio_k
 
 

@@ -261,6 +261,36 @@ def test_parse_orientation_compact_arrows():
     assert o.arcs == frozenset({(1, 2)})
 
 
+@pytest.mark.parametrize("arcs,message", [
+    ({(1, 2), (1, 3)}, "arc (1, 3) is not an edge of the base graph"),
+    ({(1, 2), (2, 2)}, "arc (2, 2) is not an edge of the base graph"),
+    ({(1, 2), (2, 3), (3, 4)}, "arc (3, 4) is not an edge of the base graph"),
+    ({(1, 2), (0, 1)}, "arc (0, 1) is not an edge of the base graph"),
+    ({(1, 2), (2, 0)}, "arc (2, 0) is not an edge of the base graph"),
+    ({(1, 2), (-1, 3)}, "arc (-1, 3) is not an edge of the base graph"),
+    ({(1, 2), (2, 3), (3, 2)}, "edge (2, 3) oriented twice"),
+    ({(1, 2)}, "some edges are missing a direction"),
+    (set(), "some edges are missing a direction"),
+])
+def test_orientation_rejects_non_orientations(arcs, message):
+    g = Graph(3, {(1, 2), (2, 3)})
+    with pytest.raises(ValueError) as exc:
+        Orientation(g, frozenset(arcs))
+    assert str(exc.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=7))
+def test_out_neighbors_against_plain_arc_set(g):
+    o = orient_by_order(g, sorted(g.vertices(), key=lambda v: (v * 5) % 7))
+    out = o.out_neighbors()
+    assert list(out) == list(g.vertices())
+    for u in g.vertices():
+        assert out[u] == tuple(sorted(v for x, v in o.arcs if x == u))
+    assert len(o.arcs) == len(g.edges)
+    assert {(min(e), max(e)) for e in o.arcs} == g.edges
+
+
 def test_parse_orientation_errors():
     with pytest.raises(ValueError):
         parse_orientation("2 1\n1 2\n")

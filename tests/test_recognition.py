@@ -31,6 +31,7 @@ from semitrans import (
     validate_matrix_form,
 )
 from semitrans.generate import GenSpec, forbidden_configuration, generate, split_graph_from_types
+from semitrans.graphs import format_graph, normalize_partition, parse_graph_pinned
 from semitrans.orient import topological_order
 
 from oracles import assert_shortcut_witness
@@ -489,6 +490,22 @@ def test_verified_yes_and_flip_witness_at_benchmark_sizes():
                 break
         else:
             pytest.fail(f"no flip of a consecutive arc creates a shortcut at k={k}, t={t}")
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_recognize_path_never_builds_the_edge_set(verify):
+    # the recognize path reads adjacency masks only; Graph.edges is derived
+    # and cached on first use, which would show in the instance dict
+    for spec in (GenSpec(k=40, t=8, seed=3, mode="planted-yes"), GenSpec(k=12, t=3, seed=4, mode="planted-no"),
+                 GenSpec(k=12, t=6, seed=5, mode="planted-no")):
+        for p in generate(spec, count=3):
+            for pinned in (p.clique, None):
+                g, clique = parse_graph_pinned(format_graph(p.graph, clique=pinned))
+                part = split_partition(g) if clique is None else normalize_partition(
+                    g, clique, [v for v in g.vertices() if v not in clique])
+                render_decision(recognize(part, verify=verify), machine=verify)
+                assert "edges" not in g.__dict__
+    assert g.edges == p.graph.edges and "edges" in g.__dict__  # built on demand, then cached
 
 
 def test_wrapped_heavy_instances_against_oracle():
