@@ -10,9 +10,9 @@ OLD_SRC and NEW_SRC are directories that contain the `semitrans` package
 files must be identical.  Then each tree runs, in its own interpreter:
 
 - `recognize` plain, `--machine`, `--no-verify` and both, on every corpus file;
-- `check-orientation` plain and `--machine` on the orientation of every
-  verified YES, on a copy with one arc flipped and on a copy with a directed
-  triangle closed by flipping one arc;
+- `check-orientation` plain and `--machine` on random small orientations,
+  on the orientation of every verified YES, on a copy with one arc flipped
+  and on a copy with a directed triangle closed by flipping one arc;
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -49,6 +50,7 @@ GEN_ARGS = (
     ("--k", "8", "--t", "5", "--mode", "planted-no", "--seed", "2", "--count", "3"),
     ("--k", "3", "--t", "2", "--mode", "exhaustive"),
 )
+RANDOM_ORIENTATIONS = 200   # small random digraphs: cyclic, shortcut-free or with shortcuts
 DIFFTEST_SPECS = (
     "k=5,t=3,density=0.5,seed=21,mode=random",
     "k=6,t=4,density=0.4,seed=2,mode=planted-no",
@@ -133,6 +135,21 @@ def _orientation_files(graph: Path, plain_out: str, directory: Path) -> list[Pat
     return files
 
 
+def _random_orientation_files(directory: Path) -> list[Path]:
+    """Random graphs on at most 12 vertices with every edge given a random direction."""
+    rng = random.Random(20211015)
+    files = []
+    for idx in range(RANDOM_ORIENTATIONS):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.3, 0.5, 0.8))
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < density]
+        path = directory / f"random{idx:03d}.orient"
+        path.write_text(f"{n} {len(arcs)}\n" + "".join(f"{u} > {v}\n" for u, v in arcs))
+        files.append(path)
+    return files
+
+
 def _write_forbidden_configurations(src: str, directory: Path):
     code = ("import sys; sys.path[:0] = [sys.argv[1]]\n"
             "from pathlib import Path\n"
@@ -149,10 +166,11 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
     argvs = []
     orient_dir = tmp / "orient"
     orient_dir.mkdir()
+    orientations = _random_orientation_files(orient_dir)
     for graph, (rc, out, _) in zip(files, plain):
         if rc == 0:
-            for path in _orientation_files(graph, out, orient_dir):
-                argvs += [["check-orientation", str(path)], ["check-orientation", str(path), "--machine"]]
+            orientations += _orientation_files(graph, out, orient_dir)
+    argvs += [["check-orientation", str(path), *flags] for path in orientations for flags in ((), ("--machine",))]
     inputs = tmp / "inputs"
     inputs.mkdir()
     for idx, text in enumerate(BAD_GRAPHS):
