@@ -13,6 +13,11 @@ files must be identical.  Then each tree runs, in its own interpreter:
 - `check-orientation` plain and `--machine` on random small orientations,
   on the orientation of every verified YES, on a copy with one arc flipped
   and on a copy with a directed triangle closed by flipping one arc;
+- `c1p` and `circ1p` on seeded matrix files with up to 60 rows and at least
+  one column: random, duplicate-heavy, planted interval and arc systems, and
+  planted NO cases (a cycle of pairs, or a triangle of pairs among four or
+  more rows, inside an interval system), so both PQ-tree commands run full
+  reductions and failing ones;
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -51,6 +56,8 @@ GEN_ARGS = (
     ("--k", "3", "--t", "2", "--mode", "exhaustive"),
 )
 RANDOM_ORIENTATIONS = 200   # small random digraphs: cyclic, shortcut-free or with shortcuts
+MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle")
+MATRICES_PER_SEED = 180
 DIFFTEST_SPECS = (
     "k=5,t=3,density=0.5,seed=21,mode=random",
     "k=6,t=4,density=0.4,seed=2,mode=planted-no",
@@ -150,6 +157,51 @@ def _random_orientation_files(directory: Path) -> list[Path]:
     return files
 
 
+def _matrix_columns(rng: random.Random, kind: str, m: int) -> list[int]:
+    """Column masks (bit r-1 = row r) of one matrix of the given kind."""
+    hidden = list(range(m))
+    rng.shuffle(hidden)
+
+    def run(start: int, length: int) -> int:  # length rows of the hidden order, wrapping
+        return sum(1 << hidden[(start + off) % m] for off in range(length))
+
+    n = rng.randint(1, 40)
+    if kind == "random":
+        return [rng.getrandbits(m) for _ in range(n)]
+    if kind == "duplicates":
+        base = [rng.getrandbits(m) for _ in range(rng.randint(1, 4))]
+        return [rng.choice(base) for _ in range(n)]
+    if kind == "arcs":
+        return [run(rng.randrange(m), rng.randint(1, m)) for _ in range(n)]
+    cols = []
+    for _ in range(n):
+        lo = rng.randrange(m)
+        cols.append(run(lo, rng.randint(1, m - lo)))
+    if kind == "intervals":
+        return cols
+    # NO cases: the pairs {r_i, r_i+1} of a cycle admit no row order; the
+    # three pairs of a triangle among four or more rows admit no circular one
+    rows = rng.sample(range(m), rng.randint(3, m) if kind == "cycle" else 3)
+    cols += [(1 << a) | (1 << b) for a, b in zip(rows, rows[1:] + rows[:1])]
+    rng.shuffle(cols)
+    return cols
+
+
+def _matrix_files(seeds: str, directory: Path) -> list[Path]:
+    files = []
+    for seed in (int(s) for s in seeds.split(",")):
+        rng = random.Random(seed)
+        for idx in range(MATRICES_PER_SEED):
+            kind = MATRIX_KINDS[idx % len(MATRIX_KINDS)]
+            m = rng.randint(4, 60)
+            cols = _matrix_columns(rng, kind, m)
+            rows = ("".join("1" if (c >> r) & 1 else "0" for c in cols) for r in range(m))
+            path = directory / f"seed{seed}-{idx:03d}-{kind}.matrix"
+            path.write_text(f"{m} {len(cols)}\n" + "".join(row + "\n" for row in rows))
+            files.append(path)
+    return files
+
+
 def _write_forbidden_configurations(src: str, directory: Path):
     code = ("import sys; sys.path[:0] = [sys.argv[1]]\n"
             "from pathlib import Path\n"
@@ -161,9 +213,12 @@ def _write_forbidden_configurations(src: str, directory: Path):
     subprocess.run([sys.executable, "-c", code, src, str(directory)], check=True)
 
 
-def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Path) -> list[list[str]]:
-    """check-orientation, parser-error, gen, forbidden and difftest runs."""
+def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Path, seeds: str) -> list[list[str]]:
+    """check-orientation, c1p, circ1p, parser-error, gen, forbidden and difftest runs."""
     argvs = []
+    matrix_dir = tmp / "matrices"
+    matrix_dir.mkdir()
+    argvs += [[cmd, str(path)] for path in _matrix_files(seeds, matrix_dir) for cmd in ("c1p", "circ1p")]
     orient_dir = tmp / "orient"
     orient_dir.mkdir()
     orientations = _random_orientation_files(orient_dir)
@@ -211,7 +266,7 @@ def main(argv=None) -> int:
         results = _run_both(trees, argvs, tmp, "recognize")
         _compare(argvs, results, mismatches)
         runs = len(argvs)
-        argvs = _other_cases(trees, files, results[0][::len(RECOGNIZE_FLAGS)], tmp)
+        argvs = _other_cases(trees, files, results[0][::len(RECOGNIZE_FLAGS)], tmp, args.seeds)
         _compare(argvs, _run_both(trees, argvs, tmp, "other"), mismatches)
         runs += len(argvs)
         print(f"compared {runs} runs per tree ({len(files)} corpus files)")

@@ -246,6 +246,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, SizeGuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # e.g. a header that asks for 10^12 vertices
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (AssertionError, RecursionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -78,6 +78,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError("line 1: non-integer header") from None
+    if n == 0 and len(lines) == 1:  # the m rows are empty lines, dropped above
+        return BinaryMatrix(m, 0, ())
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
     rows = []

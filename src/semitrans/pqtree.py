@@ -9,8 +9,16 @@ first, full-side last.  Below the pertinent root the partial nodes form a
 chain (each has at most one partial child), which is walked iteratively from
 the top, so the walk needs no call stack proportional to the tree depth.
 
-One reduction costs O(tree size) for the count pass plus work proportional to
-the pertinent subtree, so a k-row, c-column matrix reduces in O(c*k) time.
+Every node keeps a parent pointer and its leaf count, and the tree keeps a
+row -> leaf table, so a reduction touches only what the column touches: it
+walks up from the leaves of the column's rows, stopping at the first node
+already reached, and sums pertinent counts bottom-up over the nodes it
+reached (Booth and Lueker's bubble-up, J. Comput. Syst. Sci. 13, 1976).
+Nodes it never reached are empty.  One reduction costs the union of the
+pertinent leaves' root paths plus the children lists the templates read and
+rewrite; that is not the pertinent subtree alone, so nested prefixes (each
+column's leaves sit below a chain of its predecessors) still cost Theta(k^2)
+in total.
 """
 
 from __future__ import annotations
@@ -26,12 +34,18 @@ _EMPTY, _FULL, _PARTIAL = 0, 1, 2
 
 
 class _Node:
-    __slots__ = ("kind", "children", "row")
+    """A tree node.  A new internal node reads its children's leaf counts but
+    leaves their parent pointers alone: a reduction may still fail after
+    building it, and a failed reduction must not change the tree."""
+
+    __slots__ = ("kind", "children", "row", "parent", "leaves")
 
     def __init__(self, kind: int, children: list["_Node"] | None = None, row: int = 0):
         self.kind = kind
         self.children = children if children is not None else []
         self.row = row
+        self.parent: _Node | None = None
+        self.leaves = sum(ch.leaves for ch in self.children) if children else 1
 
 
 def _make_p(nodes: list[_Node]) -> _Node:
@@ -46,6 +60,19 @@ def _make_q(items: list[_Node]) -> _Node:
     return _Node(_Q, items)
 
 
+def _adopt(top: _Node):
+    """Point the children of top, and of every node built under it in this
+    reduction, back at their parent.  Built nodes are the ones whose parent
+    is still unset; the tree root is never a child."""
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        for ch in node.children:
+            if ch.parent is None:
+                stack.append(ch)
+            ch.parent = node
+
+
 class PQTree:
     """Certificate engine: feed row subsets via reduce(), read a frontier out."""
 
@@ -53,46 +80,38 @@ class PQTree:
         if m < 0:
             raise ValueError("row count must be nonnegative")
         self.m = m
+        self._leaf = [_Node(_LEAF, row=r) for r in range(m + 1)]  # row -> leaf; entry 0 unused
         if m == 0:
             self.root: _Node | None = None
         elif m == 1:
-            self.root = _Node(_LEAF, row=1)
+            self.root = self._leaf[1]
         else:
-            self.root = _Node(_P, [_Node(_LEAF, row=r) for r in range(1, m + 1)])
-        self._pert: dict[int, int] = {}
-        self._leaves: dict[int, int] = {}
+            self.root = _Node(_P, self._leaf[1:])
+            _adopt(self.root)
+        self._pert: dict[_Node, int] = {}
 
     def reduce(self, mask: int) -> bool:
         """Constrain the tree so rows set in mask stay consecutive.
 
         Returns False (leaving the tree unchanged) when no frontier of the
         current tree keeps them consecutive; the tree is then unusable for
-        further reductions of the same matrix.
+        further reductions of the same matrix.  Raises ValueError when mask
+        is negative or sets a bit above row m.
         """
+        if mask >> self.m:  # -1 for every negative mask
+            raise ValueError("mask names rows outside 1..m")
         size = mask.bit_count()
         if size <= 1 or size >= self.m:
             return True
-        self._count(mask)
-        # descend to the deepest node containing every pertinent leaf
-        path: list[_Node] = []
-        node = self.root
-        while True:
-            down = None
-            for ch in node.children:
-                if self._pert.get(id(ch), 0) == size:
-                    down = ch
-                    break
-            if down is None:
-                break
-            path.append(node)
-            node = down
-        if self._pert[id(node)] == self._leaves[id(node)]:
+        node = self._bubble(mask, size)
+        if size == node.leaves:
             return True
         try:
             self._apply_root(node)
         except _Fail:
             return False
-        self._normalize(node, path)
+        _adopt(node)
+        self._normalize(node)
         return True
 
     def frontier(self) -> tuple[int, ...]:
@@ -111,32 +130,45 @@ class PQTree:
 
     # -- internals --------------------------------------------------------
 
-    def _count(self, mask: int):
-        """One post-order pass filling per-node leaf and pertinent-leaf counts."""
-        pert: dict[int, int] = {}
-        leaves: dict[int, int] = {}
-        stack: list[tuple[_Node, bool]] = [(self.root, False)]
-        while stack:
-            node, seen = stack.pop()
-            if node.kind == _LEAF:
-                leaves[id(node)] = 1
-                pert[id(node)] = (mask >> (node.row - 1)) & 1
-                continue
-            if not seen:
-                stack.append((node, True))
-                for ch in node.children:
-                    stack.append((ch, False))
-            else:
-                leaves[id(node)] = sum(leaves[id(ch)] for ch in node.children)
-                pert[id(node)] = sum(pert[id(ch)] for ch in node.children)
+    def _bubble(self, mask: int, size: int) -> _Node:
+        """Fill the pertinent counts of the nodes above the rows set in mask
+        and return the pertinent root: the deepest node holding all size of
+        them.  Counts flow up a child at a time once every reached child of
+        a node is summed, so a node is final before its parent and the first
+        node to reach size is the deepest."""
+        pert: dict[_Node, int] = {}
+        waiting: dict[_Node, int] = {}  # reached internal node -> reached children not yet summed
+        ready: list[_Node] = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            leaf = self._leaf[low.bit_length()]
+            pert[leaf] = 1
+            ready.append(leaf)
+            node = leaf.parent
+            while node is not None:
+                if node in waiting:
+                    waiting[node] += 1
+                    break
+                waiting[node] = 1
+                node = node.parent
         self._pert = pert
-        self._leaves = leaves
+        while True:
+            node = ready.pop()
+            count = pert[node]
+            if count == size:
+                return node
+            parent = node.parent
+            pert[parent] = pert.get(parent, 0) + count
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready.append(parent)
 
     def _label(self, node: _Node) -> int:
-        c = self._pert[id(node)]
+        c = self._pert.get(node, 0)
         if c == 0:
             return _EMPTY
-        if c == self._leaves[id(node)]:
+        if c == node.leaves:
             return _FULL
         return _PARTIAL
 
@@ -236,13 +268,13 @@ class PQTree:
                 new_children.append(ch)
         node.children = new_children
 
-    def _normalize(self, node: _Node, path: list[_Node]):
+    def _normalize(self, node: _Node):
         """Splice out a root-template node left with a single child."""
         if node.kind == _LEAF or len(node.children) != 1:
             return
         child = node.children[0]
-        if path:
-            parent = path[-1]
+        parent = child.parent = node.parent
+        if parent is not None:
             parent.children[parent.children.index(node)] = child
         else:
             self.root = child

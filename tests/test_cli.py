@@ -70,6 +70,19 @@ def test_recognize_errors_exit_2(write, capsys):
     assert main(["recognize", "/nonexistent/file.graph"]) == 2
 
 
+def test_recognize_out_of_memory_exit_2(write, capsys, monkeypatch):
+    # a header such as "1000000000000 0" makes the parser allocate a mask per
+    # vertex; running out of memory is an input error, not an answer (exit 1)
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("semitrans.cli.parse_graph_pinned", exhausted)
+    assert main(["recognize", write("huge.graph", "1000000000000 0\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("exc", [
     InternalConsistencyError("certificate failed"),
     RecursionError("too deep"),

@@ -366,11 +366,85 @@ def test_pqtree_vacuous_masks():
     assert sorted(tree.frontier()) == [1, 2, 3, 4]
 
 
+def _pqtree_fields(tree):
+    """Check what a reduction keeps on the tree and return every field.
+
+    Every child points back at its node and the root at nothing, every cached
+    leaf count equals a recount, and the row -> leaf table names the tree's
+    leaves.  The result lists each node's identity and fields, root first.
+    """
+    assert tree.root.parent is None
+    order = [tree.root]
+    for node in order:  # grows while read: breadth-first
+        for ch in node.children:
+            assert ch.parent is node
+            order.append(ch)
+    count = {}
+    for node in reversed(order):
+        count[id(node)] = sum(count[id(ch)] for ch in node.children) if node.children else 1
+        assert node.leaves == count[id(node)]
+    leaves = [node for node in order if not node.children]
+    assert sorted(leaf.row for leaf in leaves) == list(range(1, tree.m + 1))
+    assert all(tree._leaf[leaf.row] is leaf for leaf in leaves)
+    return [(id(n), n.kind, n.row, id(n.parent), n.leaves, [id(ch) for ch in n.children]) for n in order]
+
+
+def _reduce_checked(tree, mask):
+    before, frontier = _pqtree_fields(tree), tree.frontier()
+    ok = tree.reduce(mask)
+    after = _pqtree_fields(tree)
+    if not ok:
+        assert after == before and tree.frontier() == frontier
+    return ok
+
+
+def test_pqtree_structure_after_every_reduction():
+    # random masks (many rejected) and shuffled interval systems with
+    # duplicates (all accepted, building deep Q-node chains), then random
+    # masks again on the structured tree
+    rng = random.Random(40)
+    outcomes = set()
+    for _ in range(60):
+        m = rng.randint(2, 40)
+        tree = PQTree(m)
+        for _ in range(rng.randint(1, 30)):
+            mask = rng.getrandbits(m) if rng.random() < 0.5 else (1 << rng.randrange(m)) | (1 << rng.randrange(m))
+            outcomes.add(_reduce_checked(tree, mask))
+    for _ in range(60):
+        m = rng.randint(2, 40)
+        hidden = list(range(m))
+        rng.shuffle(hidden)
+        cols = []
+        for _ in range(rng.randint(1, 30)):
+            lo = rng.randrange(m)
+            hi = rng.randrange(lo, m)
+            cols.append(sum(1 << hidden[pos] for pos in range(lo, hi + 1)))
+        cols += rng.choices(cols, k=len(cols) // 2)
+        rng.shuffle(cols)
+        tree = PQTree(m)
+        for mask in cols:
+            assert _reduce_checked(tree, mask)
+        perm = tree.frontier()
+        assert check_c1p_under_perm(BinaryMatrix(m, len(cols), tuple(cols)), perm)
+        for _ in range(5):
+            outcomes.add(_reduce_checked(tree, rng.getrandbits(m)))
+    assert outcomes == {True, False}
+
+
+def test_pqtree_rejects_rows_outside_the_tree():
+    tree = PQTree(4)
+    for mask in (0b110000, 0b10011, -6):
+        with pytest.raises(ValueError):
+            tree.reduce(mask)
+    assert tree.frontier() == (1, 2, 3, 4)
+
+
 # -- matrix file format ----------------------------------------------------------
 
 def test_matrix_round_trip():
-    mtx = from_rows([[1, 0, 1], [0, 1, 1]])
-    assert parse_matrix(format_matrix(mtx)).rows() == mtx.rows()
+    # format_matrix writes an m x 0 matrix as its header plus m empty lines
+    for mtx in (from_rows([[1, 0, 1], [0, 1, 1]]), BinaryMatrix(2, 0, ()), BinaryMatrix(0, 3, (0, 0, 0))):
+        assert parse_matrix(format_matrix(mtx)) == mtx
 
 
 def test_parse_matrix_errors():
