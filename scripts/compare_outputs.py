@@ -18,6 +18,10 @@ files must be identical.  Then each tree runs, in its own interpreter:
   planted NO cases (a cycle of pairs, or a triangle of pairs among four or
   more rows, inside an interval system), so both PQ-tree commands run full
   reductions and failing ones;
+- `recognize` on seeded mutated graph files (`tests/graph_texts.py`, the
+  generator of the parser's differential test): odd line ends and
+  whitespace, respelled and non-integer ids, comments and `C:` lines glued
+  to their content, lines of one or three tokens, bad header and edge values;
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -58,6 +62,7 @@ GEN_ARGS = (
 RANDOM_ORIENTATIONS = 200   # small random digraphs: cyclic, shortcut-free or with shortcuts
 MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle")
 MATRICES_PER_SEED = 180
+FUZZ_GRAPHS_PER_SEED = 300
 DIFFTEST_SPECS = (
     "k=5,t=3,density=0.5,seed=21,mode=random",
     "k=6,t=4,density=0.4,seed=2,mode=planted-no",
@@ -202,6 +207,20 @@ def _matrix_files(seeds: str, directory: Path) -> list[Path]:
     return files
 
 
+def _fuzz_graph_files(seeds: str, directory: Path) -> list[Path]:
+    sys.path.insert(0, str(REPO / "tests"))
+    from graph_texts import mutated_graph_text
+
+    files = []
+    for seed in (int(s) for s in seeds.split(",")):
+        rng = random.Random(seed)
+        for idx in range(FUZZ_GRAPHS_PER_SEED):
+            path = directory / f"seed{seed}-{idx:03d}.graph"
+            path.write_bytes(mutated_graph_text(rng).encode())
+            files.append(path)
+    return files
+
+
 def _write_forbidden_configurations(src: str, directory: Path):
     code = ("import sys; sys.path[:0] = [sys.argv[1]]\n"
             "from pathlib import Path\n"
@@ -214,7 +233,7 @@ def _write_forbidden_configurations(src: str, directory: Path):
 
 
 def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Path, seeds: str) -> list[list[str]]:
-    """check-orientation, c1p, circ1p, parser-error, gen, forbidden and difftest runs."""
+    """check-orientation, c1p, circ1p, parser-error, parser-fuzz, gen, forbidden and difftest runs."""
     argvs = []
     matrix_dir = tmp / "matrices"
     matrix_dir.mkdir()
@@ -232,6 +251,7 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
         path = inputs / f"bad{idx:02d}.graph"
         path.write_bytes(text.encode())
         argvs.append(["recognize", str(path)])
+    argvs += [["recognize", str(path)] for path in _fuzz_graph_files(seeds, inputs)]
     argvs += [["gen", *gen] for gen in GEN_ARGS]
     _write_forbidden_configurations(trees[0], inputs)
     argvs += [["forbidden", str(inputs / f"forbidden-{case}.graph")] for case in "abc"]

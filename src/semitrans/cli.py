@@ -38,7 +38,8 @@ def _read(path: str) -> str:
 def _partition_from_file(path: str):
     g, pinned = parse_graph_pinned(_read(path))
     if pinned is not None:
-        rest = [v for v in g.vertices() if v not in set(pinned)]
+        pins = set(pinned)
+        rest = [v for v in g.vertices() if v not in pins]
         return normalize_partition(g, pinned, rest)
     p = split_partition(g)
     if p is None:

@@ -177,20 +177,54 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
     """Parse a graph file, returning the optional pinned clique from a "C:" line.
 
     Format: first data line "n m", then m lines "u v" with 1 <= u < v <= n,
-    optionally one final line "C: i1 i2 ...".  Blank lines and lines starting
-    with "#" are ignored.
+    and at most one line "C: i1 i2 ..." anywhere after the header (edge lines
+    may follow it).  Blank lines and lines starting with "#" are ignored.
+
+    Edge lines are tested first: once the header is read, a line of two
+    tokens looks both up in a per-call memo of token -> int(token) that holds
+    only tokens int() accepted, so a repeated vertex id costs one dict lookup.
+    A token int() rejects is a "non-integer vertex id", unless the line is a
+    comment or a "C:" line, which falls through to the general branch.
     """
     header: Optional[tuple[int, int]] = None
     masks: list[int] = []
+    ids: dict[str, int] = {}
     count = 0
     pinned: Optional[tuple[int, ...]] = None
     n = m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if header is not None and len(parts) == 2:
+            a, b = parts
+            try:
+                u = ids[a]
+                v = ids[b]
+            except KeyError:
+                try:
+                    u = ids[a] = int(a)
+                    v = ids[b] = int(b)
+                except ValueError:
+                    if not a.startswith(("#", "C:")):
+                        raise GraphFormatError(line_no, "non-integer vertex id") from None
+                    u = None  # a comment or a "C:" line: the general branch below
+            if u is not None:
+                if u == v:
+                    raise GraphFormatError(line_no, f"self-loop at {u}")
+                if not (1 <= u < v <= n):
+                    raise GraphFormatError(line_no, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
+                bit = 1 << (v - 1)
+                if masks[u] & bit:
+                    raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
+                if count >= m:
+                    raise GraphFormatError(line_no, f"more than {m} edges")
+                masks[u] |= bit
+                masks[v] |= 1 << (u - 1)
+                count += 1
+                continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if header is None:
-            parts = line.split()
             if len(parts) != 2:
                 raise GraphFormatError(line_no, "expected header 'n m'")
             try:
@@ -216,25 +250,7 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
                 raise GraphFormatError(line_no, "repeated vertex in 'C:' line")
             pinned = pins
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(line_no, f"expected edge 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(line_no, "non-integer vertex id") from None
-        if u == v:
-            raise GraphFormatError(line_no, f"self-loop at {u}")
-        if not (1 <= u < v <= n):
-            raise GraphFormatError(line_no, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
-        bit = 1 << (v - 1)
-        if masks[u] & bit:
-            raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
-        if count >= m:
-            raise GraphFormatError(line_no, f"more than {m} edges")
-        masks[u] |= bit
-        masks[v] |= 1 << (u - 1)
-        count += 1
+        raise GraphFormatError(line_no, f"expected edge 'u v', got {line!r}")  # not two tokens
     if header is None:
         raise GraphFormatError(1, "empty input")
     if count != m:

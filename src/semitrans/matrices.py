@@ -66,26 +66,34 @@ class BinaryMatrix:
         return frozenset(r + 1 for r in range(self.m) if (mask >> r) & 1)
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based physical line number, stripped line) of every line that is
+    neither blank nor a "#" comment."""
+    numbered = ((line_no, raw.strip()) for line_no, raw in enumerate(text.splitlines(), start=1))
+    return [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
+
+
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse "m n" followed by m lines of n characters over {0,1}."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    lines = data_lines(text)
     if not lines:
         raise ValueError("line 1: empty input")
-    parts = lines[0].split()
+    head_no, head = lines[0]
+    parts = head.split()
     if len(parts) != 2:
-        raise ValueError("line 1: expected header 'm n'")
+        raise ValueError(f"line {head_no}: expected header 'm n'")
     try:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError("line 1: non-integer header") from None
+        raise ValueError(f"line {head_no}: non-integer header") from None
     if n == 0 and len(lines) == 1:  # the m rows are empty lines, dropped above
         return BinaryMatrix(m, 0, ())
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
     rows = []
-    for idx, ln in enumerate(lines[1:], start=2):
+    for line_no, ln in lines[1:]:
         if len(ln) != n or any(ch not in "01" for ch in ln):
-            raise ValueError(f"line {idx}: expected {n} characters over 0/1")
+            raise ValueError(f"line {line_no}: expected {n} characters over 0/1")
         rows.append([int(ch) for ch in ln])
     if m == 0:
         return BinaryMatrix(0, n, tuple(0 for _ in range(n)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import Graph, bits
-from .matrices import SizeGuardError
+from .matrices import SizeGuardError, data_lines
 
 
 @dataclass(frozen=True)
@@ -356,28 +356,35 @@ def oracle_semi_transitive(
 
 def parse_orientation(text: str) -> Orientation:
     """Parse "n m" followed by m arc lines "u > v"."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    lines = data_lines(text)
     if not lines:
         raise ValueError("line 1: empty input")
-    parts = lines[0].split()
+    head_no, head = lines[0]
+    parts = head.split()
     if len(parts) != 2:
-        raise ValueError("line 1: expected header 'n m'")
-    n, m = int(parts[0]), int(parts[1])
+        raise ValueError(f"line {head_no}: expected header 'n m'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"line {head_no}: non-integer header") from None
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arcs, found {len(lines) - 1}")
     arcs = set()
     masks = [0] * (n + 1)
-    for idx, ln in enumerate(lines[1:], start=2):
+    for line_no, ln in lines[1:]:
         toks = ln.replace(">", " > ").split()
         if len(toks) != 3 or toks[1] != ">":
-            raise ValueError(f"line {idx}: expected 'u > v'")
-        u, v = int(toks[0]), int(toks[2])
+            raise ValueError(f"line {line_no}: expected 'u > v'")
+        try:
+            u, v = int(toks[0]), int(toks[2])
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer vertex id") from None
         if u == v:
-            raise ValueError(f"line {idx}: self-loop at {u}")
+            raise ValueError(f"line {line_no}: self-loop at {u}")
         if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"line {idx}: vertex out of range 1..{n}")
+            raise ValueError(f"line {line_no}: vertex out of range 1..{n}")
         if masks[u] >> (v - 1) & 1:
-            raise ValueError(f"line {idx}: edge {(min(u, v), max(u, v))} oriented twice")
+            raise ValueError(f"line {line_no}: edge {(min(u, v), max(u, v))} oriented twice")
         masks[u] |= 1 << (v - 1)
         masks[v] |= 1 << (u - 1)
         arcs.add((u, v))

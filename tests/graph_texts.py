@@ -1,0 +1,91 @@
+"""Seeded mutations of graph files, for differential tests of the graph parser.
+
+Pure text: nothing here imports semitrans, so a script that compares two
+source trees can share it.  A file starts out well formed and then gets one
+to three mutations, each a thing the parser must classify: line ends other
+than "\\n", odd whitespace, spellings of an id that int() accepts (leading
+zeros, "+", "_", Unicode digits) or rejects, comments and "C:" lines glued to
+their content, lines of one or three tokens, and bad header or edge values.
+"""
+
+from __future__ import annotations
+
+import random
+
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+SPACES = (" ", "  ", "\t", "\xa0", "\u2003", "\u3000")
+DIGITS = ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९")
+BAD_TOKENS = ("x", "#", "#1", "C:", "C:1", "1.5", "_1", "1_", "1__0", "--1", "+", "0x1", "\u00b2", "\u00bd", "1e1")
+
+
+def _respell(rng: random.Random, tok: str) -> str:
+    """Another spelling of the decimal token tok that int() reads as the same value."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "0" * rng.randint(1, 2) + tok
+    if kind == 1:
+        return "+" + tok
+    if kind == 2 and len(tok) >= 2:
+        return tok[0] + "_" + tok[1:]
+    digits = rng.choice(DIGITS)
+    return "".join(digits[int(ch)] for ch in tok)
+
+
+def _mutate(rng: random.Random, lines: list[list[str]]):
+    """Apply one random mutation to the token lists in place."""
+    kind = rng.randrange(10)
+    at = rng.randrange(len(lines) + 1)
+    toks = lines[min(at, len(lines) - 1)] if lines else []
+    ids = [str(rng.randint(0, 10)) for _ in range(rng.randint(0, 3))]
+    if kind == 0:  # respell one decimal token
+        spots = [i for i, tok in enumerate(toks) if tok.isascii() and tok.isdigit()]
+        if spots:
+            i = rng.choice(spots)
+            toks[i] = _respell(rng, toks[i])
+    elif kind == 1 and toks:  # a token int() rejects
+        toks[rng.randrange(len(toks))] = rng.choice(BAD_TOKENS)
+    elif kind == 2:  # a comment, glued to its text or not
+        lines.insert(at, ["#" + " ".join(ids)] if rng.random() < 0.5 else ["#", *ids])
+    elif kind == 3:  # a "C:" line, glued to its first id or not, maybe a second one
+        lines.insert(at, ["C:" + ids[0], *ids[1:]] if ids and rng.random() < 0.5 else ["C:", *ids])
+    elif kind == 4 and toks:  # one token fewer
+        del toks[rng.randrange(len(toks))]
+    elif kind == 5:  # one token more
+        toks.insert(rng.randint(0, len(toks)), rng.choice(ids or ["1"]))
+    elif kind == 6:  # a repeated line, a reversed one or a self-loop
+        lines.insert(at, list(toks) if rng.random() < 0.5 else toks[::-1])
+        if len(toks) == 2 and rng.random() < 0.3:
+            lines[at][1] = lines[at][0]
+    elif kind == 7:  # an edge between random ids: out of range, zero, or fine
+        lines.insert(at, ids[:2] if len(ids) >= 2 else ["1", "2"])
+    elif kind == 8 and lines:  # another header value, maybe negative, or no header
+        if len(lines[0]) == 2 and rng.random() < 0.7:
+            lines[0][rng.randrange(2)] = str(rng.randint(-2, 10))
+        else:
+            del lines[0]
+    else:  # a blank or whitespace-only line
+        lines.insert(at, [])
+
+
+def mutated_graph_text(rng: random.Random, max_n: int = 8) -> str:
+    """One graph file: a valid random graph with an optional "C:" line at a
+    random place, mutated one to three times and rendered with random
+    separators (sometimes without a final line end)."""
+    n = rng.randint(0, max_n)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    rng.shuffle(pairs)
+    lines = [[str(n), str(len(pairs))]] + [[str(u), str(v)] for u, v in pairs]
+    if n and rng.random() < 0.4:
+        clique = rng.sample(range(1, n + 1), rng.randint(1, n))
+        lines.insert(rng.randint(1, len(lines)), ["C:", *map(str, clique)])
+    for _ in range(rng.randint(1, 3)):
+        _mutate(rng, lines)
+    end = rng.choice(LINE_ENDS)
+    out = []
+    for toks in lines:
+        text = (rng.choice(SPACES) if rng.random() < 0.2 else " ").join(toks)
+        if rng.random() < 0.1:
+            text = rng.choice(SPACES) + text + rng.choice(SPACES)
+        out.append(text + (rng.choice(LINE_ENDS) if rng.random() < 0.1 else end))
+    text = "".join(out)
+    return text[:-1] if text and rng.random() < 0.2 else text

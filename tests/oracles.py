@@ -75,3 +75,62 @@ def random_graph(rng, n: int, density: float) -> Graph:
         (u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density
     )
     return Graph(n, edges)
+
+
+def reference_parse_graph(text: str):
+    """(graph, pinned clique or None) from a graph file, or the message of
+    the first error, read the plain way: each line stripped, then tested in
+    turn as blank or comment, header, "C:" line or edge; edges kept as a set
+    of pairs."""
+    header = None
+    edges = set()
+    pinned = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if header is None:
+            if len(toks) != 2:
+                return f"line {line_no}: expected header 'n m'"
+            try:
+                n, m = int(toks[0]), int(toks[1])
+            except ValueError:
+                return f"line {line_no}: non-integer header"
+            if n < 0 or m < 0:
+                return f"line {line_no}: negative header value"
+            header = (n, m)
+        elif line.startswith("C:"):
+            if pinned is not None:
+                return f"line {line_no}: duplicate 'C:' line"
+            try:
+                pins = tuple(int(tok) for tok in line[2:].split())
+            except ValueError:
+                return f"line {line_no}: non-integer vertex id in 'C:' line"
+            outside = [v for v in pins if not 1 <= v <= n]
+            if outside:
+                return f"line {line_no}: clique vertex {outside[0]} out of range 1..{n}"
+            if len(set(pins)) != len(pins):
+                return f"line {line_no}: repeated vertex in 'C:' line"
+            pinned = pins
+        elif len(toks) != 2:
+            return f"line {line_no}: expected edge 'u v', got {line!r}"
+        else:
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                return f"line {line_no}: non-integer vertex id"
+            if u == v:
+                return f"line {line_no}: self-loop at {u}"
+            if not 1 <= u < v <= n:
+                return f"line {line_no}: edge ({u}, {v}) must satisfy 1 <= u < v <= {n}"
+            if (u, v) in edges:
+                return f"line {line_no}: duplicate edge ({u}, {v})"
+            if len(edges) == m:
+                return f"line {line_no}: more than {m} edges"
+            edges.add((u, v))
+    if header is None:
+        return "line 1: empty input"
+    if len(edges) != m:
+        return f"line 1: header promised {m} edges, found {len(edges)}"
+    return Graph(n, edges), pinned

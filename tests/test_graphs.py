@@ -18,7 +18,8 @@ from semitrans import (
 )
 from semitrans.generate import forbidden_configuration, split_graph_from_types
 
-from oracles import bipartition_split_oracle, random_graph
+from graph_texts import mutated_graph_text
+from oracles import bipartition_split_oracle, random_graph, reference_parse_graph
 from strategies import edge_sets, graphs, split_partitions
 
 
@@ -53,6 +54,12 @@ def test_parse_comments_blank_lines_and_pin():
     text = "# comment\n\n4 2\n1 2\n\n3 4\nC: 1 2\n"
     g, pinned = parse_graph_pinned(text)
     assert g.n == 4 and pinned == (1, 2)
+    # a "#" or "C:" glued to the next token still starts a comment or a pin
+    # line; an id is whatever int() accepts
+    edge = Graph(3, {(1, 2)})
+    assert parse_graph_pinned("3 1\n#1 2\n1 2\n") == (edge, None)
+    assert parse_graph_pinned("3 1\nC:1 2\n1 2\n") == (edge, (1, 2))
+    assert parse_graph_pinned("3 1\n01 +2\n") == (edge, None)
 
 
 # input -> (short tag, full message): every GraphFormatError branch, with
@@ -74,6 +81,8 @@ PARSE_ERRORS = {
     "3 1\n 1 2 3 \n": ("three tokens", "line 2: expected edge 'u v', got '1 2 3'"),
     "3 1\r\n# c\r\n7\r\n": ("one token", "line 3: expected edge 'u v', got '7'"),
     "3 1\na b\n": ("non-integer id", "line 2: non-integer vertex id"),
+    "3 1\n1 #\n": ("'#' second", "line 2: non-integer vertex id"),
+    "11 1\n1_0 2\n": ("'_' in id", "line 2: edge (10, 2) must satisfy 1 <= u < v <= 11"),
     "3 1\n\n2 2\n": ("self-loop", "line 3: self-loop at 2"),
     "2 1\n2 1\n": ("u < v", "line 2: edge (2, 1) must satisfy 1 <= u < v <= 2"),
     "2 1\n1 3\n": ("u < v", "line 2: edge (1, 3) must satisfy 1 <= u < v <= 2"),
@@ -92,6 +101,23 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert str(exc.value) == PARSE_ERRORS[text][1]
+
+
+def test_parse_matches_reference_parser():
+    # seeded mutated files: odd line ends and whitespace, respelled and bad
+    # ids, glued comments and "C:" lines, wrong token counts, bad values
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(3000):
+        text = mutated_graph_text(rng)
+        expected = reference_parse_graph(text)
+        try:
+            got = parse_graph_pinned(text)
+        except GraphFormatError as exc:
+            got = str(exc)
+        assert got == expected, text
+        outcomes.add(expected.split(": ", 1)[1].split()[0] if isinstance(expected, str) else "ok")
+    assert len(outcomes) >= 12, outcomes  # accepted files and most error branches
 
 
 def test_format_round_trip():

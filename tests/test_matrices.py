@@ -454,3 +454,17 @@ def test_parse_matrix_errors():
         parse_matrix("2 2\n10\n")
     with pytest.raises(ValueError):
         parse_matrix("1 2\n1x\n")
+    # full messages; line numbers count blank and comment lines too
+    cases = {
+        "": "line 1: empty input",
+        "# c\n\n2 2\n\n10\n1x\n": "line 6: expected 2 characters over 0/1",
+        "2 x\n": "line 1: non-integer header",
+        "# c\n2 x\n": "line 2: non-integer header",
+        "\n\n2\n": "line 3: expected header 'm n'",
+        "1 2\n# c\n101\n": "line 3: expected 2 characters over 0/1",
+        "2 2\n10\n": "expected 2 matrix rows, found 1",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == message, text

@@ -296,3 +296,20 @@ def test_parse_orientation_errors():
         parse_orientation("2 1\n1 2\n")
     with pytest.raises(ValueError):
         parse_orientation("2 2\n1 > 2\n2 > 1\n")
+    # full messages; line numbers count blank and comment lines too
+    cases = {
+        "": "line 1: empty input",
+        "# c\n\n2 1\n\n1 > 1\n": "line 5: self-loop at 1",
+        "2 x\n": "line 1: non-integer header",
+        "# c\n2.0 1\n": "line 2: non-integer header",
+        "\n2 1 0\n": "line 2: expected header 'n m'",
+        "2 1\n1 > x\n": "line 2: non-integer vertex id",
+        "2 1\r\n# c\r\n1 < 2\r\n": "line 3: expected 'u > v'",
+        "2 1\n\n1 > 3\n": "line 3: vertex out of range 1..2",
+        "3 2\n1 > 2\n# c\n2 > 1\n": "line 4: edge (1, 2) oriented twice",
+        "2 2\n1 > 2\n": "expected 2 arcs, found 1",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            parse_orientation(text)
+        assert str(exc.value) == message, text
