@@ -9,7 +9,10 @@ OLD_SRC and NEW_SRC are directories that contain the `semitrans` package
 `recognize_bench.workloads.write_corpus` under each tree, and the two sets of
 files must be identical.  Then each tree runs, in its own interpreter:
 
-- `recognize` plain, `--machine`, `--no-verify` and both, on every corpus file;
+- `recognize` plain, `--machine`, `--no-verify` and both, on every corpus file,
+  and on two copies of every corpus file that pins its clique: one with the
+  `C:` line reversed and one with it shuffled (seeded by the file's path), so
+  the clique rows come in descending and in arbitrary id order;
 - `check-orientation` plain and `--machine` on random small orientations,
   on the orientation of every verified YES, on a copy with one arc flipped
   and on a copy with a directed triangle closed by flipping one arc;
@@ -118,6 +121,24 @@ def _compare(argvs, results, mismatches: list[str]):
         if a != b:
             parts = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
             mismatches.append(f"{' '.join(argv)}: {', '.join(parts)} differ (exit {a[0]} vs {b[0]})")
+
+
+def _reordered_clique_files(files: list[Path], directory: Path) -> list[Path]:
+    """Copies of every pinned corpus file with the `C:` line reversed and shuffled."""
+    out = []
+    for graph in files:
+        lines = graph.read_text().splitlines(keepends=True)
+        at = next((idx for idx, ln in enumerate(lines) if ln.startswith("C:")), None)
+        if at is None:
+            continue
+        ids = lines[at].split()[1:]
+        tag = f"{graph.parent.parent.name}-{graph.parent.name}-{graph.stem}"
+        orders = {"reversed": ids[::-1], "shuffled": random.Random(tag).sample(ids, len(ids))}
+        for name, order in orders.items():
+            path = directory / f"{tag}.{name}.txt"
+            path.write_text("".join(lines[:at] + ["C: " + " ".join(order) + "\n"] + lines[at + 1:]))
+            out.append(path)
+    return out
 
 
 def _header_n(path: Path) -> int:
@@ -286,10 +307,16 @@ def main(argv=None) -> int:
         results = _run_both(trees, argvs, tmp, "recognize")
         _compare(argvs, results, mismatches)
         runs = len(argvs)
+        reordered_dir = tmp / "reordered"
+        reordered_dir.mkdir()
+        reordered = [["recognize", str(f), *flags]
+                     for f in _reordered_clique_files(files, reordered_dir) for flags in RECOGNIZE_FLAGS]
+        _compare(reordered, _run_both(trees, reordered, tmp, "reordered"), mismatches)
+        runs += len(reordered)
         argvs = _other_cases(trees, files, results[0][::len(RECOGNIZE_FLAGS)], tmp, args.seeds)
         _compare(argvs, _run_both(trees, argvs, tmp, "other"), mismatches)
         runs += len(argvs)
-        print(f"compared {runs} runs per tree ({len(files)} corpus files)")
+        print(f"compared {runs} runs per tree ({len(files)} corpus files, {len(reordered) // len(RECOGNIZE_FLAGS)} reordered copies)")
     for line in mismatches:
         print("MISMATCH", line)
     print(f"{len(mismatches)} mismatches")

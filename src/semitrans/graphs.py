@@ -360,8 +360,25 @@ def neighborhood_matrix(p: SplitPartition) -> BinaryMatrix:
     """The k x t adjacency matrix between clique rows and independent columns.
 
     Row order is p.clique, column order is p.independent; columns are labeled
-    with the independent vertex ids.
+    with the independent vertex ids.  An id-run is a stretch of clique rows
+    r..r+L holding consecutive ids u..u+L.  Each column copies, from its
+    highest neighbor down, the run that neighbor lies in with one shift, so a
+    clique pinned as 1..k costs one copy per column, and any order is exact.
     """
-    row = {u: r for r, u in enumerate(p.clique, start=1)}
-    cols = [vertex_mask(row[u] for u in bits(p.graph.masks[v])) for v in p.independent]
-    return BinaryMatrix(p.k, p.t, tuple(cols), tuple(p.independent))
+    clique, k = p.clique, p.k
+    run_of = [None] * (p.graph.n + 1)  # clique id -> (first id - 1, first row - 1) of its run
+    starts = [r for r in range(k) if r == 0 or clique[r] != clique[r - 1] + 1]
+    for start, end in zip(starts, starts[1:] + [k]):
+        first = clique[start]
+        run_of[first:first + end - start] = [(first - 1, start)] * (end - start)
+    masks = p.graph.masks
+    cols = []
+    for v in p.independent:
+        mask, col = masks[v], 0
+        while mask:  # every set bit of mask >> shift lies in the run of the highest one
+            shift, row_shift = run_of[mask.bit_length()]
+            piece = mask >> shift
+            col |= piece << row_shift
+            mask ^= piece << shift
+        cols.append(col)
+    return BinaryMatrix(k, p.t, tuple(cols), tuple(p.independent))

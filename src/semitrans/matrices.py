@@ -33,10 +33,8 @@ class BinaryMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.columns) != self.n:
             raise ValueError("column count mismatch")
-        full = (1 << self.m) - 1
-        for c in self.columns:
-            if c < 0 or c & ~full:
-                raise ValueError("column mask out of range for row count")
+        if self.columns and (min(self.columns) < 0 or max(self.columns) >> self.m):
+            raise ValueError("column mask out of range for row count")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label list must have one entry per column")
 
@@ -157,18 +155,22 @@ def has_consecutive_ones(mtx: BinaryMatrix) -> Optional[tuple[int, ...]]:
 
     PQ-tree reduction, one column at a time; columns are processed by
     decreasing number of ones (ties by index) and columns whose constraint is
-    vacuous are skipped.  The certificate is the final leftmost frontier.
+    vacuous (at most one 1, or all ones) are skipped.  One pass drops each
+    column into the bucket of its popcount; reading buckets m-1 down to 2 in
+    insertion order is that stable sort.  The certificate is the final
+    leftmost frontier.
     """
-    if mtx.m == 0:
+    m = mtx.m
+    if m == 0:
         return ()
-    tree = PQTree(mtx.m)
-    cols = sorted(mtx.columns, key=lambda c: -c.bit_count())
-    for c in cols:
-        ones = c.bit_count()
-        if ones <= 1 or ones >= mtx.m:
-            continue
-        if not tree.reduce(c):
-            return None
+    buckets: list[list[int]] = [[] for _ in range(m + 1)]
+    for c in mtx.columns:
+        buckets[c.bit_count()].append(c)
+    tree = PQTree(m)
+    for ones in range(m - 1, 1, -1):
+        for c in buckets[ones]:
+            if not tree.reduce(c):
+                return None
     return tree.frontier()
 
 
@@ -181,7 +183,7 @@ def tucker_transform(mtx: BinaryMatrix) -> BinaryMatrix:
     if mtx.m == 0:
         raise ValueError("matrix has no first row")
     full = (1 << mtx.m) - 1
-    cols = tuple((c ^ full) if c & 1 else c for c in mtx.columns)
+    cols = tuple([c ^ full if c & 1 else c for c in mtx.columns])
     return BinaryMatrix(mtx.m, mtx.n, cols, mtx.labels)
 
 

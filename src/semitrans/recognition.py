@@ -220,23 +220,16 @@ def intersection_matrix(p: SplitPartition) -> BinaryMatrix:
 def intersection_matrix_from_masks(
     k: int, masks: Sequence[int], ids: Optional[Sequence[int]] = None
 ) -> BinaryMatrix:
-    t = len(masks)
-    cols = []
-    labels = [] if ids is not None else None
-    for i in range(t):
-        mi = masks[i]
-        for j in range(i, t):
-            cols.append(mi & masks[j])
-            if labels is not None:
-                labels.append((ids[i], ids[j]))
-    return BinaryMatrix(k, len(cols), tuple(cols), tuple(labels) if labels is not None else None)
+    cols = tuple([mi & mj for i, mi in enumerate(masks) for mj in masks[i:]])
+    labels = None if ids is None else tuple([(a, b) for i, a in enumerate(ids) for b in ids[i:]])
+    return BinaryMatrix(k, len(cols), cols, labels)
 
 
 def prune_trivial_columns(mtx: BinaryMatrix) -> BinaryMatrix:
     """Drop columns with at most one 1; they are circular under every permutation."""
-    keep = [j for j, c in enumerate(mtx.columns) if c.bit_count() >= 2]
-    cols = tuple(mtx.columns[j] for j in keep)
-    labels = tuple(mtx.labels[j] for j in keep) if mtx.labels is not None else None
+    cols = tuple([c for c in mtx.columns if c.bit_count() >= 2])
+    labels = None if mtx.labels is None else tuple([
+        lab for c, lab in zip(mtx.columns, mtx.labels) if c.bit_count() >= 2])
     return BinaryMatrix(mtx.m, len(cols), cols, labels)
 
 

@@ -7,7 +7,8 @@ stay independent of the library code paths they are used to check.
 
 from itertools import combinations, permutations
 
-from semitrans import Graph, Orientation, orient_by_order
+from semitrans import BinaryMatrix, Graph, Orientation, orient_by_order
+from semitrans.pqtree import PQTree
 
 
 def bipartition_split_oracle(g: Graph):
@@ -134,3 +135,40 @@ def reference_parse_graph(text: str):
     if len(edges) != m:
         return f"line 1: header promised {m} edges, found {len(edges)}"
     return Graph(n, edges), pinned
+
+
+def consecutive_ones_reference(mtx: BinaryMatrix):
+    """Certificate of the consecutive-ones PQ-tree pipeline, in its plain
+    form: columns stably sorted by decreasing number of ones, vacuous ones
+    (at most one 1, or all ones) skipped inside the loop.  Pins the order in
+    which has_consecutive_ones reduces its columns."""
+    if mtx.m == 0:
+        return ()
+    tree = PQTree(mtx.m)
+    for c in sorted(mtx.columns, key=lambda c: -c.bit_count()):
+        ones = c.bit_count()
+        if ones <= 1 or ones >= mtx.m:
+            continue
+        if not tree.reduce(c):
+            return None
+    return tree.frontier()
+
+
+def circular_ones_reference(mtx: BinaryMatrix):
+    """consecutive_ones_reference after complementing every column with a 1
+    in the first row."""
+    if mtx.m == 0:
+        return ()
+    full = (1 << mtx.m) - 1
+    cols = tuple(c ^ full if c & 1 else c for c in mtx.columns)
+    return consecutive_ones_reference(BinaryMatrix(mtx.m, mtx.n, cols))
+
+
+def neighborhood_columns_reference(p):
+    """Columns of neighborhood_matrix(p), one bit at a time: bit r-1 of
+    column j is set when the r-th clique vertex is adjacent to the j-th
+    independent vertex."""
+    g = p.graph
+    return tuple(
+        sum(1 << r for r, u in enumerate(p.clique) if g.has_edge(u, v)) for v in p.independent
+    )

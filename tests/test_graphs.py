@@ -19,7 +19,12 @@ from semitrans import (
 from semitrans.generate import forbidden_configuration, split_graph_from_types
 
 from graph_texts import mutated_graph_text
-from oracles import bipartition_split_oracle, random_graph, reference_parse_graph
+from oracles import (
+    bipartition_split_oracle,
+    neighborhood_columns_reference,
+    random_graph,
+    reference_parse_graph,
+)
 from strategies import edge_sets, graphs, split_partitions
 
 
@@ -315,3 +320,31 @@ def test_neighborhood_matrix_singleton_types():
     assert m.column_ones(1) == {1, 4}
     assert m.column_ones(2) == {2, 4}
     assert m.column_ones(3) == {3, 4}
+
+
+def test_neighborhood_matrix_any_clique_order():
+    # pinned cliques in ascending, reversed and shuffled order, with gaps in
+    # their ids, vertices that normalize_partition appends, t = 0 and
+    # independent vertices without clique neighbors
+    rng = random.Random(7)
+    orders = {"ascending": sorted, "reversed": lambda c: sorted(c, reverse=True),
+              "shuffled": lambda c: rng.sample(c, len(c))}
+    seen = {"appended": 0, "t=0": 0, "empty": 0, "gaps": 0}
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        clique = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        independent = [v for v in range(1, n + 1) if v not in clique]
+        density = rng.choice((0.0, 0.3, 0.7, 1.0))
+        edges = set(combinations(clique, 2))
+        edges |= {(min(u, v), max(u, v)) for v in independent for u in clique if rng.random() < density}
+        g = Graph(n, edges)
+        for name, order in orders.items():
+            p = normalize_partition(g, order(clique), independent)
+            mtx = neighborhood_matrix(p)
+            assert mtx.columns == neighborhood_columns_reference(p), (name, format_graph(g, p.clique))
+            assert (mtx.m, mtx.n, mtx.labels) == (p.k, p.t, p.independent)
+            seen["appended"] += p.k > len(clique)
+            seen["t=0"] += p.t == 0
+            seen["empty"] += 0 in mtx.columns
+            seen["gaps"] += max(p.clique) - min(p.clique) >= p.k
+    assert min(seen.values()) >= 30, seen

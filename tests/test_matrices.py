@@ -19,6 +19,7 @@ from semitrans import (
 )
 from semitrans.pqtree import PQTree
 
+from oracles import circular_ones_reference, consecutive_ones_reference
 from strategies import binary_matrices
 
 
@@ -327,6 +328,44 @@ def test_tucker_equivalence_on_random_matrices():
         )
 
 
+def _tie_heavy_matrix(rng):
+    """A matrix of few distinct columns, many sharing a number of ones: arcs of
+    a hidden circular row order (so YES is common) and random columns, with
+    0, 1, m-1 and m ones mixed in."""
+    m = rng.choice((0, 1, 2, rng.randint(3, 12), rng.randint(3, 12)))
+    full = (1 << m) - 1
+    hidden = list(range(m))
+    rng.shuffle(hidden)
+
+    def arc(ones):
+        start = rng.randrange(m) if m else 0
+        return sum(1 << hidden[(start + off) % m] for off in range(ones))
+
+    pool = [0, full]
+    if m:
+        pool += [1 << rng.randrange(m), full ^ (1 << rng.randrange(m))]
+    for ones in rng.sample(range(m + 1), min(m + 1, rng.randint(1, 3))):
+        pool += [arc(ones) for _ in range(rng.randint(1, 4))]
+    pool += [rng.getrandbits(m) if m else 0 for _ in range(rng.randint(0, 4))]
+    cols = tuple(rng.choice(pool) for _ in range(rng.randint(0, 30)))
+    return BinaryMatrix(m, len(cols), cols)
+
+
+def test_reduction_order_matches_sorted_reference():
+    # the columns reach the PQ-tree in the same order as a stable sort by
+    # decreasing number of ones, so the frontier (or None) is the same
+    rng = random.Random(20211015)
+    answers = {"c1p": [0, 0], "circ1p": [0, 0]}
+    for _ in range(3000):
+        mtx = _tie_heavy_matrix(rng)
+        for name, engine, reference in (("c1p", has_consecutive_ones, consecutive_ones_reference),
+                                        ("circ1p", has_circular_ones, circular_ones_reference)):
+            perm = engine(mtx)
+            assert perm == reference(mtx), (name, mtx)
+            answers[name][perm is None] += 1
+    assert min(answers["c1p"] + answers["circ1p"]) >= 200, answers
+
+
 # -- pq-tree internals ---------------------------------------------------------
 
 def test_pqtree_frontier_is_permutation():
@@ -437,6 +476,35 @@ def test_pqtree_rejects_rows_outside_the_tree():
         with pytest.raises(ValueError):
             tree.reduce(mask)
     assert tree.frontier() == (1, 2, 3, 4)
+
+
+# -- construction checks -----------------------------------------------------
+
+def test_binary_matrix_rejects_bad_input():
+    cases = (
+        ((-1, 0, ()), "matrix dimensions must be nonnegative"),
+        ((2, -1, ()), "matrix dimensions must be nonnegative"),
+        ((2, 2, (1,)), "column count mismatch"),
+        ((2, 0, (1,)), "column count mismatch"),
+        ((3, 2, (0b011, -1)), "column mask out of range for row count"),
+        ((3, 2, (1 << 3, 0b001)), "column mask out of range for row count"),
+        ((3, 1, (0b1111,)), "column mask out of range for row count"),
+        ((0, 2, (0, 1)), "column mask out of range for row count"),
+        ((2, 2, (0b01, 0b10), ("a",)), "label list must have one entry per column"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            BinaryMatrix(*args)
+        assert str(exc.value) == message, args
+
+
+def test_binary_matrix_accepts_masks_within_its_rows():
+    for m in range(5):
+        full = (1 << m) - 1
+        assert BinaryMatrix(m, 3, (full, 0, full)).columns == (full, 0, full)
+    assert BinaryMatrix(0, 2, (0, 0)).n == 2
+    assert BinaryMatrix(3, 0, ()).columns == ()
+    assert BinaryMatrix(3, 1, (0b101,), ("x",)).labels == ("x",)
 
 
 # -- matrix file format ----------------------------------------------------------
