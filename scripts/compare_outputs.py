@@ -25,6 +25,11 @@ files must be identical.  Then each tree runs, in its own interpreter:
   generator of the parser's differential test): odd line ends and
   whitespace, respelled and non-integer ids, comments and `C:` lines glued
   to their content, lines of one or three tokens, bad header and edge values;
+  and on files in `format_graph`'s layout, the one the parser reads in bulk,
+  unedited or with one edit each (a swapped, looping, repeated or
+  out-of-range edge, a leading zero, header m +- 1, a missing final newline,
+  a trailing space, a CR, a tab, a moved, doubled, repeating, out-of-range
+  or empty `C:` line);
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -66,6 +71,7 @@ RANDOM_ORIENTATIONS = 200   # small random digraphs: cyclic, shortcut-free or wi
 MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle")
 MATRICES_PER_SEED = 180
 FUZZ_GRAPHS_PER_SEED = 300
+CANONICAL_GRAPHS_PER_EDIT = 5    # per seed, files in format_graph's layout with one edit each
 DIFFTEST_SPECS = (
     "k=5,t=3,density=0.5,seed=21,mode=random",
     "k=6,t=4,density=0.4,seed=2,mode=planted-no",
@@ -230,7 +236,7 @@ def _matrix_files(seeds: str, directory: Path) -> list[Path]:
 
 def _fuzz_graph_files(seeds: str, directory: Path) -> list[Path]:
     sys.path.insert(0, str(REPO / "tests"))
-    from graph_texts import mutated_graph_text
+    from graph_texts import CANONICAL_EDITS, canonical_graph_text, mutated_graph_text
 
     files = []
     for seed in (int(s) for s in seeds.split(",")):
@@ -239,6 +245,11 @@ def _fuzz_graph_files(seeds: str, directory: Path) -> list[Path]:
             path = directory / f"seed{seed}-{idx:03d}.graph"
             path.write_bytes(mutated_graph_text(rng).encode())
             files.append(path)
+        for edit in CANONICAL_EDITS:
+            for idx in range(CANONICAL_GRAPHS_PER_EDIT):
+                path = directory / f"seed{seed}-{edit}-{idx}.graph"
+                path.write_bytes(canonical_graph_text(rng, edit).encode())
+                files.append(path)
     return files
 
 

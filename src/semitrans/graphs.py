@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .matrices import BinaryMatrix
@@ -180,50 +181,24 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
     and at most one line "C: i1 i2 ..." anywhere after the header (edge lines
     may follow it).  Blank lines and lines starting with "#" are ignored.
 
-    Edge lines are tested first: once the header is read, a line of two
-    tokens looks both up in a per-call memo of token -> int(token) that holds
-    only tokens int() accepted, so a repeated vertex id costs one dict lookup.
-    A token int() rejects is a "non-integer vertex id", unless the line is a
-    comment or a "C:" line, which falls through to the general branch.
+    A file in the layout `format_graph` writes is read in bulk by
+    `_parse_canonical`.  Every other file, and every file with an error, is
+    read by the line loop below, which gives the same result and is the only
+    source of error messages.
     """
+    parsed = _parse_canonical(text)
+    if parsed is not None:
+        return parsed
     header: Optional[tuple[int, int]] = None
     masks: list[int] = []
-    ids: dict[str, int] = {}
     count = 0
     pinned: Optional[tuple[int, ...]] = None
     n = m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if header is not None and len(parts) == 2:
-            a, b = parts
-            try:
-                u = ids[a]
-                v = ids[b]
-            except KeyError:
-                try:
-                    u = ids[a] = int(a)
-                    v = ids[b] = int(b)
-                except ValueError:
-                    if not a.startswith(("#", "C:")):
-                        raise GraphFormatError(line_no, "non-integer vertex id") from None
-                    u = None  # a comment or a "C:" line: the general branch below
-            if u is not None:
-                if u == v:
-                    raise GraphFormatError(line_no, f"self-loop at {u}")
-                if not (1 <= u < v <= n):
-                    raise GraphFormatError(line_no, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
-                bit = 1 << (v - 1)
-                if masks[u] & bit:
-                    raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
-                if count >= m:
-                    raise GraphFormatError(line_no, f"more than {m} edges")
-                masks[u] |= bit
-                masks[v] |= 1 << (u - 1)
-                count += 1
-                continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise GraphFormatError(line_no, "expected header 'n m'")
@@ -250,12 +225,122 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
                 raise GraphFormatError(line_no, "repeated vertex in 'C:' line")
             pinned = pins
             continue
-        raise GraphFormatError(line_no, f"expected edge 'u v', got {line!r}")  # not two tokens
+        if len(parts) != 2:
+            raise GraphFormatError(line_no, f"expected edge 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(line_no, "non-integer vertex id") from None
+        if u == v:
+            raise GraphFormatError(line_no, f"self-loop at {u}")
+        if not (1 <= u < v <= n):
+            raise GraphFormatError(line_no, f"edge ({u}, {v}) must satisfy 1 <= u < v <= {n}")
+        bit = 1 << (v - 1)
+        if masks[u] & bit:
+            raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
+        if count >= m:
+            raise GraphFormatError(line_no, f"more than {m} edges")
+        masks[u] |= bit
+        masks[v] |= 1 << (u - 1)
+        count += 1
     if header is None:
         raise GraphFormatError(1, "empty input")
     if count != m:
         raise GraphFormatError(1, f"header promised {m} edges, found {count}")
     return Graph._from_masks(n, tuple(masks)), pinned
+
+
+_NOT_DIGITS = str.maketrans("", "", "0123456789")
+_CHUNK = 1 << 14  # characters of edge lines per bulk pass: bounds the token lists held at once
+
+
+def _decimal(tok: str) -> bool:
+    """tok is a number as str() writes it: ASCII digits, no sign, no leading zero."""
+    return tok.isdigit() and tok.isascii() and (tok[0] != "0" or tok == "0")
+
+
+def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...]]]]:
+    """Read a graph file in exactly the layout `format_graph` writes, in bulk.
+
+    The layout is "n m\\n", then m lines "u v\\n", then optionally one final
+    line "C: i1 ... ik\\n", with every number written as str() writes it and
+    one space between tokens.  Returns what the line loop returns for the
+    same text, or None for any other text and for every text the line loop
+    rejects; it raises only where the line loop raises on the same header
+    (the masks list of a header asking for too many vertices).
+
+    Edge lines are read in chunks of about _CHUNK characters, each with the
+    line loop's checks done in bulk: the layout by deleting the digits, ids
+    through one int() per distinct token, the range by min and max, u < v
+    (which excludes self-loops) by one map, the edge count by lines.  A
+    duplicate edge sets no new bit, so the masks' popcounts then sum to less
+    than 2m.
+    """
+    eol = text.find("\n")
+    header = text[:eol].split(" ")
+    if eol < 0 or len(header) != 2 or not all(map(_decimal, header)):
+        return None
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:  # more digits than int() reads; the line loop reports it
+        return None
+    pinned = None
+    stop = text.find("C", eol)
+    if stop < 0:
+        stop = len(text)
+    else:  # no edge line holds a "C", so it must start the one final line
+        line = text[stop:]
+        if text[stop - 1] != "\n" or not line.startswith("C: ") or line.find("\n") != len(line) - 1:
+            return None
+        pins = line[3:-1].split(" ") if len(line) > 4 else []
+        if not all(map(_decimal, pins)) or any(len(tok) > len(header[0]) for tok in pins):
+            return None
+        pinned = tuple(map(int, pins))
+        if (pinned and not 1 <= min(pinned) <= max(pinned) <= n) or len(set(pinned)) != len(pinned):
+            return None
+    masks = [0] * (n + 1)  # masks[u] gets bit v, not v - 1: shifted once at the end
+    count = 0
+    start = eol + 1
+    while start < stop:
+        end = text.find("\n", start + _CHUNK, stop) + 1 or stop
+        lines = _read_edge_lines(text[start:end], n, len(header[0]), masks)
+        if lines is None:
+            return None
+        count += lines
+        start = end
+    final = tuple(mask >> 1 for mask in masks)
+    if count != m or sum(map(int.bit_count, final)) != 2 * m:
+        return None
+    return Graph._from_masks(n, final), pinned
+
+
+def _read_edge_lines(chunk: str, n: int, width: int, masks: list[int]) -> Optional[int]:
+    """OR the edges of whole "u v\\n" lines into masks (bit v of masks[u]) and
+    return the number of lines, or None if a line breaks the layout or holds
+    an id that is not in 1..n (at most width digits) or not less than the
+    other.  Its token lists die with the call, so one chunk's are held at once."""
+    lines = chunk.count("\n")
+    if chunk.translate(_NOT_DIGITS) != " \n" * lines:
+        return None
+    tokens = chunk.split()
+    if len(tokens) != 2 * lines:  # an empty token: a line starts or ends with its space
+        return None
+    distinct = set(tokens)
+    # "0" sorts before every other digit: the least token starts with it iff
+    # some id is 0 or has a leading zero; a token longer than n's exceeds it
+    if min(distinct)[0] == "0" or len(max(distinct, key=len)) > width:
+        return None
+    ids = dict(zip(distinct, map(int, distinct)))
+    if max(ids.values()) > n:
+        return None
+    values = list(map(ids.__getitem__, tokens))
+    us, vs = values[::2], values[1::2]
+    if not all(map(lt, us, vs)):
+        return None
+    for u, v in zip(us, vs):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return lines
 
 
 def format_graph(g: Graph, clique: Optional[Iterable[int]] = None) -> str:

@@ -1,11 +1,14 @@
 """Seeded mutations of graph files, for differential tests of the graph parser.
 
 Pure text: nothing here imports semitrans, so a script that compares two
-source trees can share it.  A file starts out well formed and then gets one
-to three mutations, each a thing the parser must classify: line ends other
-than "\\n", odd whitespace, spellings of an id that int() accepts (leading
-zeros, "+", "_", Unicode digits) or rejects, comments and "C:" lines glued to
-their content, lines of one or three tokens, and bad header or edge values.
+source trees can share it.  `mutated_graph_text` starts from a well-formed
+file and applies one to three mutations, each a thing the parser must
+classify: line ends other than "\\n", odd whitespace, spellings of an id that
+int() accepts (leading zeros, "+", "_", Unicode digits) or rejects, comments
+and "C:" lines glued to their content, lines of one or three tokens, and bad
+header or edge values.  `canonical_graph_text` starts from the exact layout
+`format_graph` writes, the one the parser reads in bulk, and applies at most
+one edit that keeps that layout nearly intact.
 """
 
 from __future__ import annotations
@@ -89,3 +92,69 @@ def mutated_graph_text(rng: random.Random, max_n: int = 8) -> str:
         out.append(text + (rng.choice(LINE_ENDS) if rng.random() < 0.1 else end))
     text = "".join(out)
     return text[:-1] if text and rng.random() < 0.2 else text
+
+
+CANONICAL_EDITS = (
+    "none", "swap", "self-loop", "zero", "above-n", "leading-zero", "repeat", "m+1", "m-1",
+    "no-final-newline", "trailing-space", "crlf", "tab",
+    "pin-mid", "pin-twice", "pin-repeat", "pin-range", "pin-empty",
+)
+
+
+def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
+    """A random graph in `format_graph`'s layout ("n m", the edges "u v" in
+    sorted order, maybe a final "C:" line, every line ended by "\\n") with
+    one edit from CANONICAL_EDITS applied; "none" leaves it unedited.  An
+    edit that needs an edge line or a "C:" line the file lacks adds one."""
+    n = rng.randint(1 if edit.startswith("pin") else 0, max_n)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    lines = [[str(u), str(v)] for u, v in pairs]
+    pins = None
+    if n and (edit.startswith("pin") or rng.random() < 0.4):
+        pins = [str(v) for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+    if edit in ("swap", "self-loop", "zero", "above-n", "leading-zero", "repeat") and not lines:
+        n = max(n, 2)
+        lines = [["1", "2"]]
+    at = rng.randrange(len(lines)) if lines else 0
+    if edit == "swap":
+        lines[at].reverse()
+    elif edit == "self-loop":
+        lines[at][1] = lines[at][0]
+    elif edit == "zero":
+        lines[at][0] = "0"
+    elif edit == "above-n":
+        lines[at][1] = str(n + 1)
+    elif edit == "leading-zero":
+        side = rng.randrange(2)
+        lines[at][side] = "0" + lines[at][side]
+    elif edit == "repeat":
+        lines.insert(at, list(lines[at]))
+    m = len(lines) - (edit == "repeat" and rng.random() < 0.5)  # a repeat: found by count or by bits
+    m += {"m+1": 1, "m-1": -1}.get(edit, 0)
+    body = [f"{u} {v}\n" for u, v in lines]
+    if edit == "pin-empty":
+        pins = []
+    elif edit == "pin-repeat":
+        pins.append(rng.choice(pins))
+    elif edit == "pin-range":
+        pins[rng.randrange(len(pins))] = rng.choice(("0", str(n + 1)))
+    if pins is not None:
+        pin_line = "C: " + " ".join(pins) + "\n"
+        body.insert(rng.randint(0, len(body)) if edit == "pin-mid" else len(body), pin_line)
+        if edit == "pin-twice":
+            body.insert(rng.randint(0, len(body)), pin_line)
+    text = f"{n} {m}\n" + "".join(body)
+    if edit == "no-final-newline":
+        return text[:-1]
+    line_ends = [idx for idx, ch in enumerate(text) if ch == "\n"]
+    spaces = [idx for idx, ch in enumerate(text) if ch == " "]
+    if edit == "trailing-space":
+        idx = rng.choice(line_ends)
+        return text[:idx] + " " + text[idx:]
+    if edit == "crlf":
+        idx = rng.choice(line_ends)
+        return text[:idx] + "\r" + text[idx:]
+    if edit == "tab":
+        idx = rng.choice(spaces)
+        return text[:idx] + "\t" + text[idx + 1:]
+    return text

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -17,8 +18,9 @@ from semitrans import (
     twin_reduce,
 )
 from semitrans.generate import forbidden_configuration, split_graph_from_types
+from semitrans.graphs import _parse_canonical
 
-from graph_texts import mutated_graph_text
+from graph_texts import CANONICAL_EDITS, canonical_graph_text, mutated_graph_text
 from oracles import (
     bipartition_split_oracle,
     neighborhood_columns_reference,
@@ -108,13 +110,26 @@ def test_parse_errors(text, fragment):
     assert str(exc.value) == PARSE_ERRORS[text][1]
 
 
-def test_parse_matches_reference_parser():
-    # seeded mutated files: odd line ends and whitespace, respelled and bad
-    # ids, glued comments and "C:" lines, wrong token counts, bad values
+def _parser_inputs():
+    """(kind, text): seeded mutated files (odd line ends and whitespace,
+    respelled and bad ids, glued comments and "C:" lines, wrong token counts,
+    bad values), then files in format_graph's layout with one edit each, and
+    numerals longer than int() reads by default (4300 digits)."""
     rng = random.Random(8)
-    outcomes = set()
     for _ in range(3000):
-        text = mutated_graph_text(rng)
+        yield "mutated", mutated_graph_text(rng)
+    rng = random.Random(11)
+    for edit in CANONICAL_EDITS:
+        for _ in range(60):
+            yield edit, canonical_graph_text(rng, edit)
+    long = "9" * 5000
+    for text in (f"{long} 0\n", f"3 {long}\n", f"3 1\n1 {long}\n", f"3 0\nC: {long}\n"):
+        yield "long", text
+
+
+def test_parse_matches_reference_parser():
+    outcomes = set()
+    for kind, text in _parser_inputs():
         expected = reference_parse_graph(text)
         try:
             got = parse_graph_pinned(text)
@@ -122,7 +137,48 @@ def test_parse_matches_reference_parser():
             got = str(exc)
         assert got == expected, text
         outcomes.add(expected.split(": ", 1)[1].split()[0] if isinstance(expected, str) else "ok")
+        # the bulk pass gives the line loop's result or leaves the text to it,
+        # and it takes every unedited file
+        bulk = _parse_canonical(text)
+        if isinstance(expected, str):
+            assert bulk is None, text
+        else:
+            assert bulk == expected if kind == "none" else bulk in (None, expected), text
     assert len(outcomes) >= 12, outcomes  # accepted files and most error branches
+
+
+def test_canonical_pass_reads_format_graph_output():
+    rng = random.Random(5)
+    cases = [(Graph(0, ()), None), (Graph(0, ()), ()), (Graph(3, ()), None), (Graph(3, ()), (2,))]
+    for n in range(1, 30):
+        g = random_graph(rng, n, rng.random())
+        cases.append((g, None))
+        cases.append((g, tuple(rng.sample(range(1, n + 1), rng.randint(0, n)))))
+    for g, clique in cases:
+        text = format_graph(g, clique=clique)
+        assert _parse_canonical(text) == (g, clique) == reference_parse_graph(text), text
+    # the test generator's unedited files are format_graph's layout
+    for _ in range(200):
+        text = canonical_graph_text(rng, "none")
+        g, clique = reference_parse_graph(text)
+        assert format_graph(g, clique=clique) == text
+
+
+def _peak_bytes(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_pass_allocates_nothing_sized_by_n_beyond_the_masks():
+    # a table of 1 << i for every i < n would take ~25 MB here, the masks list 0.16 MB
+    assert _parse_canonical("20000 1\n1 2\n") is not None
+    bulk = _peak_bytes(_parse_canonical, "20000 1\n1 2\n")
+    line_loop = _peak_bytes(parse_graph_pinned, "20000 1\r\n1 2\r\n")
+    assert bulk <= 3 * line_loop, (bulk, line_loop)
 
 
 def test_format_round_trip():
