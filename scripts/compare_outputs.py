@@ -28,8 +28,9 @@ files must be identical.  Then each tree runs, in its own interpreter:
   and on files in `format_graph`'s layout, the one the parser reads in bulk,
   unedited or with one edit each (a swapped, looping, repeated or
   out-of-range edge, a leading zero, header m +- 1, a missing final newline,
-  a trailing space, a CR, a tab, a moved, doubled, repeating, out-of-range
-  or empty `C:` line);
+  a trailing space, a CR, a tab, a space or line end moved past the digits
+  beside it, a moved, doubled, repeating, out-of-range or empty `C:` line),
+  some of them also without the final newline;
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -60,6 +61,7 @@ BAD_GRAPHS = (
     "3 1\n1 2 3\n", "3 1\na b\n", "3 1\n2 2\n", "3 1\n2 1\n", "3 1\n1 4\n", "3 1\n0 1\n",
     "3 2\n1 2\n1 2\n", "3 1\n1 2\n1 3\n", "3 2\n1 2\n", "3 2\r\n# c\r\n1 2\r\n\r\n2 3\r\n2 3\r\n",
     "3 2\nC: 2 3\n1 2\n2 3\n", "  # indented comment\n4 3\n 1 2 \n1 3\n\t1 4\nC: 1\n",
+    "2 1\n1 \n2", "2 1\n 1\n2", "3 2\n1 2\n1 \n3",
 )
 GEN_ARGS = (
     ("--k", "6", "--t", "4", "--seed", "3", "--count", "3"),

@@ -215,15 +215,9 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
             if pinned is not None:
                 raise GraphFormatError(line_no, "duplicate 'C:' line")
             try:
-                pins = tuple(int(tok) for tok in line[2:].split())
-            except ValueError:
-                raise GraphFormatError(line_no, "non-integer vertex id in 'C:' line") from None
-            for v in pins:
-                if not (1 <= v <= n):
-                    raise GraphFormatError(line_no, f"clique vertex {v} out of range 1..{n}")
-            if len(set(pins)) != len(pins):
-                raise GraphFormatError(line_no, "repeated vertex in 'C:' line")
-            pinned = pins
+                pinned = _pins(line[2:].split(), n)
+            except ValueError as exc:
+                raise GraphFormatError(line_no, str(exc)) from None
             continue
         if len(parts) != 2:
             raise GraphFormatError(line_no, f"expected edge 'u v', got {line!r}")
@@ -248,6 +242,20 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
     if count != m:
         raise GraphFormatError(1, f"header promised {m} edges, found {count}")
     return Graph._from_masks(n, tuple(masks)), pinned
+
+
+def _pins(tokens: list[str], n: int) -> tuple[int, ...]:
+    """The pinned clique a "C:" line's tokens name; ValueError says what is wrong."""
+    try:
+        pins = tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError("non-integer vertex id in 'C:' line") from None
+    for v in pins:
+        if not (1 <= v <= n):
+            raise ValueError(f"clique vertex {v} out of range 1..{n}")
+    if len(set(pins)) != len(pins):
+        raise ValueError("repeated vertex in 'C:' line")
+    return pins
 
 
 _NOT_DIGITS = str.maketrans("", "", "0123456789")
@@ -290,13 +298,14 @@ def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...
         stop = len(text)
     else:  # no edge line holds a "C", so it must start the one final line
         line = text[stop:]
-        if text[stop - 1] != "\n" or not line.startswith("C: ") or line.find("\n") != len(line) - 1:
+        if not line.startswith("C: ") or line.find("\n") != len(line) - 1:
             return None
         pins = line[3:-1].split(" ") if len(line) > 4 else []
-        if not all(map(_decimal, pins)) or any(len(tok) > len(header[0]) for tok in pins):
+        if not all(map(_decimal, pins)):
             return None
-        pinned = tuple(map(int, pins))
-        if (pinned and not 1 <= min(pinned) <= max(pinned) <= n) or len(set(pinned)) != len(pinned):
+        try:
+            pinned = _pins(pins, n)
+        except ValueError:
             return None
     masks = [0] * (n + 1)  # masks[u] gets bit v, not v - 1: shifted once at the end
     count = 0
@@ -318,12 +327,17 @@ def _read_edge_lines(chunk: str, n: int, width: int, masks: list[int]) -> Option
     """OR the edges of whole "u v\\n" lines into masks (bit v of masks[u]) and
     return the number of lines, or None if a line breaks the layout or holds
     an id that is not in 1..n (at most width digits) or not less than the
-    other.  Its token lists die with the call, so one chunk's are held at once."""
+    other.  Its token lists die with the call, so one chunk's are held at once.
+
+    A chunk that ends in "\\n" and passes the translate check is lines of
+    digits, one space, digits; the token count then finds an empty side
+    (" \\n", "\\n " or a leading space).  Without the final "\\n" the last
+    line has a third, uncounted digit slot that would hide a moved space."""
     lines = chunk.count("\n")
-    if chunk.translate(_NOT_DIGITS) != " \n" * lines:
+    if chunk[-1:] != "\n" or chunk.translate(_NOT_DIGITS) != " \n" * lines:
         return None
     tokens = chunk.split()
-    if len(tokens) != 2 * lines:  # an empty token: a line starts or ends with its space
+    if len(tokens) != 2 * lines:
         return None
     distinct = set(tokens)
     # "0" sorts before every other digit: the least token starts with it iff

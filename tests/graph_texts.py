@@ -96,7 +96,7 @@ def mutated_graph_text(rng: random.Random, max_n: int = 8) -> str:
 
 CANONICAL_EDITS = (
     "none", "swap", "self-loop", "zero", "above-n", "leading-zero", "repeat", "m+1", "m-1",
-    "no-final-newline", "trailing-space", "crlf", "tab",
+    "no-final-newline", "trailing-space", "crlf", "tab", "regroup",
     "pin-mid", "pin-twice", "pin-repeat", "pin-range", "pin-empty",
 )
 
@@ -105,14 +105,17 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
     """A random graph in `format_graph`'s layout ("n m", the edges "u v" in
     sorted order, maybe a final "C:" line, every line ended by "\\n") with
     one edit from CANONICAL_EDITS applied; "none" leaves it unedited.  An
-    edit that needs an edge line or a "C:" line the file lacks adds one."""
+    edit that needs an edge line or a "C:" line the file lacks adds one.
+    "regroup" moves one space or line end past the digits beside it, which
+    keeps the order of spaces and line ends.  Any edit but "none" may also
+    drop the final line end."""
     n = rng.randint(1 if edit.startswith("pin") else 0, max_n)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
     lines = [[str(u), str(v)] for u, v in pairs]
     pins = None
     if n and (edit.startswith("pin") or rng.random() < 0.4):
         pins = [str(v) for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
-    if edit in ("swap", "self-loop", "zero", "above-n", "leading-zero", "repeat") and not lines:
+    if edit in ("swap", "self-loop", "zero", "above-n", "leading-zero", "repeat", "regroup") and not lines:
         n = max(n, 2)
         lines = [["1", "2"]]
     at = rng.randrange(len(lines)) if lines else 0
@@ -144,17 +147,28 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
         if edit == "pin-twice":
             body.insert(rng.randint(0, len(body)), pin_line)
     text = f"{n} {m}\n" + "".join(body)
-    if edit == "no-final-newline":
-        return text[:-1]
     line_ends = [idx for idx, ch in enumerate(text) if ch == "\n"]
     spaces = [idx for idx, ch in enumerate(text) if ch == " "]
     if edit == "trailing-space":
         idx = rng.choice(line_ends)
-        return text[:idx] + " " + text[idx:]
-    if edit == "crlf":
+        text = text[:idx] + " " + text[idx:]
+    elif edit == "crlf":
         idx = rng.choice(line_ends)
-        return text[:idx] + "\r" + text[idx:]
-    if edit == "tab":
+        text = text[:idx] + "\r" + text[idx:]
+    elif edit == "tab":
         idx = rng.choice(spaces)
-        return text[:idx] + "\t" + text[idx + 1:]
+        text = text[:idx] + "\t" + text[idx + 1:]
+    elif edit == "regroup":
+        idx = rng.choice([idx for idx in line_ends + spaces if idx > line_ends[0]])
+        lo = hi = idx
+        if rng.random() < 0.5:
+            while text[lo - 1].isdigit():
+                lo -= 1
+            text = text[:lo] + text[idx] + text[lo:idx] + text[idx + 1:]
+        else:
+            while hi + 1 < len(text) and text[hi + 1].isdigit():
+                hi += 1
+            text = text[:idx] + text[idx + 1:hi + 1] + text[idx] + text[hi + 1:]
+    if edit == "no-final-newline" or (edit != "none" and rng.random() < 0.3):
+        text = text[:-1] if text.endswith("\n") else text
     return text

@@ -61,19 +61,6 @@ def test_recognize_no_verify(write, capsys):
     assert rc == 0 and "verified=false" in out and "orientation" not in out
 
 
-def test_main_calls_share_no_flags(write, capsys):
-    # one argument parser serves every call in a process; a flag given to one
-    # call must not carry over to the next
-    path = write("g.graph", PATH_GRAPH)
-    assert main(["recognize", "--no-verify", "--machine", path]) == 0
-    assert "verified=false" in capsys.readouterr().out
-    assert main(["recognize", path]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("SEMI-TRANSITIVE\n") and "orientation:" in out
-    assert main(["recognize", "--machine", path]) == 0
-    assert "verified=true" in capsys.readouterr().out
-
-
 def test_recognize_errors_exit_2(write, capsys):
     assert main(["recognize", write("bad.graph", "2 1\n1 1\n")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -87,6 +87,10 @@ PARSE_ERRORS = {
     "3 1\n1 2\nC: 1 2 1\n": ("C: repeated", "line 3: repeated vertex in 'C:' line"),
     "3 1\n 1 2 3 \n": ("three tokens", "line 2: expected edge 'u v', got '1 2 3'"),
     "3 1\r\n# c\r\n7\r\n": ("one token", "line 3: expected edge 'u v', got '7'"),
+    "2 1\n1 \n2": ("space moved to line end", "line 2: expected edge 'u v', got '1'"),
+    "2 1\n 1\n2": ("space moved to line start", "line 2: expected edge 'u v', got '1'"),
+    "3 2\n1 2\n1 \n3": ("space moved, second edge", "line 3: expected edge 'u v', got '1'"),
+    "3 1\n1 2\n3": ("one token, no final newline", "line 3: expected edge 'u v', got '3'"),
     "3 1\na b\n": ("non-integer id", "line 2: non-integer vertex id"),
     "3 1\n1 #\n": ("'#' second", "line 2: non-integer vertex id"),
     "11 1\n1_0 2\n": ("'_' in id", "line 2: edge (10, 2) must satisfy 1 <= u < v <= 11"),
