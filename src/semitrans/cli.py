@@ -24,6 +24,7 @@ from .matrices import (
 )
 from .orient import (
     find_shortcut,
+    format_arcs,
     format_orientation,
     oracle_semi_transitive,
     parse_orientation,
@@ -58,7 +59,7 @@ def _cmd_check_orientation(args) -> int:
     o = parse_orientation(_read(args.orientation))
     try:
         w = find_shortcut(o)
-    except ValueError:  # the orientation has a directed cycle; find_shortcut's Kahn pass found it
+    except ValueError:  # a directed cycle, found by the depth-first pass that orders the vertices
         sys.stdout.write("cyclic=true\n" if args.machine else "NOT-SEMI-TRANSITIVE\ncyclic\n")
         return 1
     if w is None:
@@ -89,7 +90,7 @@ def _cmd_oracle(args) -> int:
         return 1
     if args.machine:
         sys.stdout.write("outcome=semi-transitive\n")
-        sys.stdout.write("orientation=" + " ".join(f"{u}>{v}" for u, v in sorted(o.arcs)) + "\n")
+        sys.stdout.write("orientation=" + format_arcs(o, ">", " ") + "\n")
     else:
         sys.stdout.write(format_orientation(o))
     return 0
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, SizeGuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # e.g. a header that asks for 10^12 vertices
+    except (MemoryError, OverflowError):  # a header that asks for 10^12 vertices, or more than an index holds
         print("error: out of memory", file=sys.stderr)
         return 2
     except (AssertionError, RecursionError) as exc:

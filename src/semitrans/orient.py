@@ -4,68 +4,162 @@ An orientation is semi-transitive when it is acyclic and no directed path
 u1 -> ... -> ut with the closing edge u1 -> ut present misses a transitive
 edge ui -> uj.  Such a violating configuration is a shortcut.
 
-The detector uses the pair criterion: with reach-or-equal written as ~>, a
-shortcut exists iff there are an edge (x, y) and a non-adjacent ordered pair
-(a, b) with x ~> a ~> b ~> y.  Splicing explicit x~>a, a~>b, b~>y paths gives
-the witness path (walks in a DAG have no repeated vertices across segments,
-since a repeat would close a cycle), and conversely any violating path yields
-such a pair, so the criterion is exact.
+An orientation is one out-mask per vertex (bit w-1 set for every arc (v, w));
+the arc set is derived on request.  The detector uses the pair criterion:
+with reach-or-equal written as ~>, a shortcut exists iff there are an edge
+(x, y) and a non-adjacent ordered pair (a, b) with x ~> a ~> b ~> y.
+Splicing explicit x~>a, a~>b, b~>y paths gives the witness path (walks in a
+DAG have no repeated vertices across segments, since a repeat would close a
+cycle), and conversely any violating path yields such a pair, so the
+criterion is exact.
 
-One Kahn pass gives the only vertex order the checks use: its existence
-proves acyclicity, and the reach masks are swept over it from its end.
-Existence is tested per vertex a, grouping the pairs by a: with Y(a) the
-heads of all arcs whose tail reaches a, a shortcut exists iff some b in
-reach(a), b != a and not adjacent to a, reaches a vertex of Y(a).  The Y sets
-cost O(|E|) mask ORs over the same order.  The ordered scan over (arc, a)
-pairs runs only when a shortcut exists, to build the smallest witness.
+The criterion is evaluated over the out-masks relabelled by position in a
+topological order, so that every arc points to a higher position.  An
+orientation built from a labeling comes with that order, proved topological
+by O(n) mask tests; any other orientation gets it from one depth-first pass.
+One sweep from the end of the order computes, for each vertex x, reach(x)
+(x included) and S(x): the union, over every a in reach(x), of the reach of
+B(a), the vertices a reaches that are neither a nor adjacent to it.  x
+closes a shortcut iff an out-arc (x, y) ends in S(x), since then
+x ~> a ~> b ~> y with b in B(a).  Each union over a set of vertices takes
+its lowest uncovered member, ORs in its reach and drops what that covers
+(the reach-and-skip rule of Goralcikova and Koubek), so the members taken
+are pairwise incomparable: a union costs at most w mask ORs, w the
+orientation's width, and the sweep O(n * w).  The smallest witness is read
+off the sweep's masks only when a shortcut exists.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Optional, Sequence
 
 from .graphs import Graph, bits
 from .matrices import SizeGuardError, data_lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Orientation:
     """A direction (tail, head) for every edge of the base graph.
 
-    Validation builds one out-mask per vertex (bit v-1 set for every arc
-    (u, v)): every arc must be a bit of the graph's adjacency masks, no edge
+    out[v] has bit w-1 set for every arc (v, w), and out[0] is 0.  Equality
+    and hashing use (graph, out); the arc set is derived on demand.  Built
+    from arcs, every arc must be a bit of the graph's adjacency masks, no edge
     may be oriented both ways, and there must be one arc per edge.
     """
 
     graph: Graph
-    arcs: frozenset[tuple[int, int]]
+    out: tuple[int, ...]
 
-    def __post_init__(self):
-        n, adj = self.graph.n, self.graph.masks
+    def __init__(self, graph: Graph, arcs: frozenset[tuple[int, int]]):
+        n, adj = graph.n, graph.masks
         out = [0] * (n + 1)
-        for u, v in self.arcs:
+        for u, v in arcs:
             if not (1 <= u <= n and 1 <= v and adj[u] >> (v - 1) & 1):
                 raise ValueError(f"arc ({u}, {v}) is not an edge of the base graph")
             if out[v] >> (u - 1) & 1:
                 raise ValueError(f"edge {(u, v) if u < v else (v, u)} oriented twice")
             out[u] |= 1 << (v - 1)
-        if 2 * len(self.arcs) != sum(m.bit_count() for m in adj):
+        if 2 * sum(m.bit_count() for m in out) != sum(m.bit_count() for m in adj):
             raise ValueError("some edges are missing a direction")
-        object.__setattr__(self, "_out_masks", out)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "out", tuple(out))
 
-    def out_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Sorted out-neighbors of every vertex; cached and shared, do not mutate."""
-        cached = self.__dict__.get("_out_neighbors")
-        if cached is None:
-            out = self.__dict__["_out_masks"]
-            cached = {v: tuple(bits(out[v])) for v in self.graph.vertices()}
-            object.__setattr__(self, "_out_neighbors", cached)
-        return cached
+    @classmethod
+    def _from_masks(cls, graph: Graph, out: tuple[int, ...]) -> "Orientation":
+        """Wrap out-masks the caller has already validated against graph."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "graph", graph)
+        object.__setattr__(o, "out", out)
+        return o
+
+    @classmethod
+    def _from_windows(cls, graph: Graph, order: Sequence[int], windows: Sequence[tuple[int, int]],
+                      clique: int) -> "Orientation":
+        """The orientation in which order[j] sends an arc to every vertex of
+        order[lo:hi], (lo, hi) = windows[j], that lies in the vertex mask
+        clique, or to all of them if order[j] lies in it.
+
+        Checked in O(n) mask operations, raising ValueError: order is a
+        permutation of the vertices; every out-mask lies in the vertex's
+        adjacency mask and misses the vertex and every vertex before it in
+        the order, which makes the order topological and orients no edge
+        twice; and there is one arc per edge.  The out-masks relabelled by
+        position in the order come from the same windows.
+        """
+        n, adj = graph.n, graph.masks
+        before = [0]  # before[j]: the vertices order[:j]
+        inner = 0     # positions of clique vertices in the order
+        for j, v in enumerate(order):
+            before.append(before[-1] | 1 << (v - 1))
+            if clique >> (v - 1) & 1:
+                inner |= 1 << j
+        if len(order) != n or before[-1] != (1 << n) - 1:
+            raise ValueError("order is not a permutation of the vertices")
+        out = [0] * (n + 1)
+        fwd = []
+        for j, (v, (lo, hi)) in enumerate(zip(order, windows)):
+            mask, span = before[hi] ^ before[lo], ((1 << hi) - 1) ^ ((1 << lo) - 1)
+            if not clique >> (v - 1) & 1:
+                mask &= clique
+                span &= inner
+            if mask | adj[v] != adj[v]:
+                raise ValueError(f"vertex {v} has an arc that is not an edge of the base graph")
+            if mask & before[j + 1]:
+                raise ValueError(f"vertex {v} has an arc back to a vertex not after it in the order")
+            out[v] = mask
+            fwd.append(span)
+        if 2 * sum(m.bit_count() for m in out) != sum(m.bit_count() for m in adj):
+            raise ValueError("some edges are missing a direction")
+        o = cls._from_masks(graph, tuple(out))
+        o.__dict__["_topo"] = (list(order), fwd)
+        return o
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Every arc (u, v); built on first use and cached."""
+        return frozenset((u, v) for u in self.graph.vertices() for v in bits(self.out[u]))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return 1 <= u <= self.graph.n and 1 <= v and bool(self.out[u] >> (v - 1) & 1)
+
+    @cached_property
+    def _topo(self) -> Optional[tuple[list[int], list[int]]]:
+        """A topological order, and for each position i the out-mask of
+        order[i] with bit j set for an arc to order[j]; None if there is a
+        directed cycle.  One depth-first pass over the out-masks: a vertex is
+        placed before everything placed so far when it is finished, and an
+        arc into the current path is a cycle."""
+        n, out = self.graph.n, self.out
+        order, fwd = [0] * n, [0] * n
+        at = [0] * (n + 1)       # position of every finished vertex
+        fresh = (1 << n) - 1     # vertices not yet entered
+        free = n
+        while fresh:
+            path = fresh & -fresh   # the vertices on the stack
+            fresh ^= path
+            stack = [path.bit_length()]
+            while stack:
+                v = stack[-1]
+                ahead = out[v] & fresh
+                if ahead:
+                    w = ahead & -ahead
+                    fresh ^= w
+                    path |= w
+                    stack.append(w.bit_length())
+                    continue
+                stack.pop()
+                path ^= 1 << (v - 1)
+                if out[v] & path:
+                    return None
+                free -= 1
+                span = 0
+                for w in bits(out[v]):
+                    span |= 1 << at[w]
+                at[v], order[free], fwd[free] = free, v, span
+        return order, fwd
 
 
 @dataclass(frozen=True)
@@ -81,125 +175,108 @@ def orient_by_order(g: Graph, order: Sequence[int]) -> Orientation:
     """Direct every edge from the earlier to the later vertex of a linear order."""
     if sorted(order) != list(g.vertices()):
         raise ValueError("order is not a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
-    return Orientation(g, frozenset((u, v) for u in order for v in bits(g.masks[u]) if pos[u] < pos[v]))
+    out = [0] * (g.n + 1)
+    placed = 0
+    for u in order:
+        placed |= 1 << (u - 1)
+        out[u] = g.masks[u] & ~placed
+    return Orientation._from_masks(g, tuple(out))
 
 
 def topological_order(o: Orientation) -> Optional[list[int]]:
-    """Kahn topological order, smallest ready vertex first, or None if there
-    is a directed cycle."""
-    out = o.out_neighbors()
-    indeg = [0] * (o.graph.n + 1)
-    for heads in out.values():
-        for w in heads:
-            indeg[w] += 1
-    queue = [v for v in o.graph.vertices() if indeg[v] == 0]
-    heapq.heapify(queue)
-    order = []
-    while queue:
-        v = heapq.heappop(queue)
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(queue, w)
-    return order if len(order) == o.graph.n else None
+    """A topological order of the vertices, or None if there is a directed cycle."""
+    topo = o._topo
+    return None if topo is None else list(topo[0])
 
 
 def is_acyclic(o: Orientation) -> bool:
-    return topological_order(o) is not None
+    return o._topo is not None
 
 
-def _reach_masks(o: Orientation, order: Sequence[int]) -> list[int]:
-    """reach[v] = bitmask of vertices reachable from v, including v itself,
-    swept over a topological order from its end."""
-    out = o.out_neighbors()
-    reach = [0] * (o.graph.n + 1)
-    for v in reversed(order):
-        mask = 1 << (v - 1)
-        for w in out[v]:
-            mask |= reach[w]
-        reach[v] = mask
-    return reach
+def _sweep(fwd: Sequence[int]) -> tuple[list[int], list[int]]:
+    """reach[i] and S[i] for every position i of masks fwd[i] whose bits all
+    lie above i (see the module docstring), swept from the end."""
+    n = len(fwd)
+    reach, below = [0] * n, [0] * n
+    for i in range(n - 1, -1, -1):
+        r, s = 1 << i, 0
+        todo = fwd[i]
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            r |= reach[j]
+            s |= below[j]
+            todo &= ~reach[j]
+        todo = r ^ fwd[i] ^ 1 << i  # B: reached, neither i nor an out-neighbor of i
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            s |= reach[j]
+            todo &= ~reach[j]
+        reach[i], below[i] = r, s
+    return reach, below
 
 
 def _shortest_path(o: Orientation, src: int, dst: int) -> list[int]:
+    """A shortest directed path, each vertex reached first from the earliest
+    vertex of the previous layer, heads taken in ascending order."""
     if src == dst:
         return [src]
-    out = o.out_neighbors()
-    parent = {src: 0}
+    out = o.out
+    parent = {}
+    seen = 1 << (src - 1)
     frontier = [src]
     while frontier:
         nxt = []
         for v in frontier:
-            for w in out[v]:
-                if w not in parent:
-                    parent[w] = v
-                    if w == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(w)
+            new = out[v] & ~seen
+            if new >> (dst - 1) & 1:
+                path = [dst, v]
+                while path[-1] != src:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            seen |= new
+            for w in bits(new):
+                parent[w] = v
+                nxt.append(w)
         frontier = nxt
     raise AssertionError(f"no directed path {src} -> {dst}; the reach masks are wrong, this is a bug")
-
-
-def _has_shortcut(o: Orientation, order: Sequence[int], reach: list[int]) -> bool:
-    """Per-vertex pair criterion: some a, and some non-adjacent b != a that a
-    reaches, with b reaching the head of an arc whose tail reaches a.  order
-    is a topological order, so every tail reaching a is visited before a."""
-    out = o.out_neighbors()
-    adj = o.graph.masks
-    heads = [0] * (o.graph.n + 1)  # heads of arcs whose tail strictly reaches v
-    for a in order:
-        bit = 1 << (a - 1)
-        ys = heads[a] | (adj[a] & reach[a])
-        for w in out[a]:
-            heads[w] |= ys
-        if any(reach[b] & ys for b in bits(reach[a] & ~adj[a] & ~bit)):
-            return True
-    return False
 
 
 def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     """Smallest-witness shortcut of an acyclic orientation, or None.
 
-    Deterministic: arcs are scanned in sorted order, then pair endpoints in
-    ascending order.  Raises ValueError on a cyclic input, and on nothing
-    else: an internal inconsistency raises AssertionError.
+    Deterministic: the closing arc (x, y) is the smallest in sorted order,
+    then a and b are the smallest ids that complete it.  Raises ValueError on
+    a cyclic input, and on nothing else: an internal inconsistency raises
+    AssertionError.
     """
-    n = o.graph.n
-    order = topological_order(o)
-    if order is None:
+    topo = o._topo
+    if topo is None:
         raise ValueError("orientation contains a directed cycle")
-    reach = _reach_masks(o, order)
-    if not _has_shortcut(o, order, reach):
+    order, fwd = topo
+    reach, below = _sweep(fwd)
+    tails = [i for i, m in enumerate(fwd) if m & below[i]]
+    if not tails:
         return None
-    adj = o.graph.masks
-    co_reach = [0] * (n + 1)
-    for v in o.graph.vertices():
-        bit = 1 << (v - 1)
-        for u in o.graph.vertices():
-            if reach[u] & bit:
-                co_reach[v] |= 1 << (u - 1)
-    universe = (1 << n) - 1
-    for x, y in sorted(o.arcs):
-        for a in bits(reach[x]):
-            bs = reach[a] & co_reach[y] & ~adj[a] & ~(1 << (a - 1)) & universe
-            if bs:
-                b = next(bits(bs))
-                seg1 = _shortest_path(o, x, a)
-                seg2 = _shortest_path(o, a, b)
-                seg3 = _shortest_path(o, b, y)
-                path = seg1 + seg2[1:] + seg3[1:]
-                return ShortcutWitness(tuple(path), (x, y), (a, b))
-    raise AssertionError("per-vertex test found a shortcut the ordered scan missed; this is a bug")
+    i = min(tails, key=order.__getitem__)
+    x = order[i]
+    y = min(order[j - 1] for j in bits(fwd[i] & below[i]))
+    at_y = order.index(y)
+    to_y = sum(1 << j for j in range(at_y + 1) if reach[j] >> at_y & 1)  # the positions that reach y
+
+    def ends(j: int) -> int:  # the b that complete a = order[j]: reached from a, not adjacent, reaching y
+        return (reach[j] ^ fwd[j] ^ 1 << j) & to_y
+
+    starts = [j - 1 for j in bits(reach[i]) if ends(j - 1)]
+    if not starts:
+        raise AssertionError("the sweep found a shortcut the witness scan cannot rebuild; this is a bug")
+    j = min(starts, key=order.__getitem__)
+    a, b = order[j], min(order[e - 1] for e in bits(ends(j)))
+    path = _shortest_path(o, x, a) + _shortest_path(o, a, b)[1:] + _shortest_path(o, b, y)[1:]
+    return ShortcutWitness(tuple(path), (x, y), (a, b))
 
 
 def is_semi_transitive_orientation(o: Orientation) -> bool:
-    order = topological_order(o)
-    return order is not None and not _has_shortcut(o, order, _reach_masks(o, order))
+    return is_acyclic(o) and find_shortcut(o) is None
 
 
 def reverse_orientation(o: Orientation) -> Orientation:
@@ -369,8 +446,8 @@ def parse_orientation(text: str) -> Orientation:
         raise ValueError(f"line {head_no}: non-integer header") from None
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} arcs, found {len(lines) - 1}")
-    arcs = set()
     masks = [0] * (n + 1)
+    out = [0] * (n + 1)
     for line_no, ln in lines[1:]:
         toks = ln.replace(">", " > ").split()
         if len(toks) != 3 or toks[1] != ">":
@@ -387,13 +464,33 @@ def parse_orientation(text: str) -> Orientation:
             raise ValueError(f"line {line_no}: edge {(min(u, v), max(u, v))} oriented twice")
         masks[u] |= 1 << (v - 1)
         masks[v] |= 1 << (u - 1)
-        arcs.add((u, v))
+        out[u] |= 1 << (v - 1)
     if n < 0:  # only reachable with m == 0: any arc line fails the range check
         raise ValueError("vertex count must be nonnegative")
-    return Orientation(Graph._from_masks(n, tuple(masks)), frozenset(arcs))
+    # every arc is an edge of the graph built from the arcs, oriented once
+    return Orientation._from_masks(Graph._from_masks(n, tuple(masks)), tuple(out))
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def format_arcs(o: Orientation, arrow: str, sep: str) -> str:
+    """Every arc as u + arrow + v, in sorted order, joined by sep.
+
+    The ids come from one table of strings, and a vertex's heads are selected
+    from it by the binary digits of its out-mask, so no arc costs an integer
+    operation."""
+    names = [str(v) for v in o.graph.vertices()]
+    chunks = []
+    for u, heads in zip(names, o.out[1:]):
+        if heads:
+            lead = u + arrow
+            flags = format(heads, "b")[::-1].encode().translate(_DIGIT_FLAGS)
+            chunks.append(lead + (sep + lead).join(compress(names, flags)))
+    return sep.join(chunks)
 
 
 def format_orientation(o: Orientation) -> str:
-    lines = [f"{o.graph.n} {len(o.arcs)}"]
-    lines.extend(f"{u} > {v}" for u, v in sorted(o.arcs))
-    return "\n".join(lines) + "\n"
+    head = f"{o.graph.n} {sum(m.bit_count() for m in o.out)}\n"
+    arcs = format_arcs(o, " > ", "\n")
+    return head + arcs + "\n" if arcs else head

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, bits, neighborhood_matrix, split_partition, vertex_mask
 from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
-from .orient import Orientation, find_shortcut, is_semi_transitive_orientation
+from .orient import Orientation, find_shortcut, format_arcs, is_semi_transitive_orientation
 from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 
 
@@ -264,26 +264,48 @@ def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
 
 
 def _orient_labeling(p: SplitPartition, labeling: Labeling, shapes: Sequence[Shape]) -> Orientation:
-    """construct_orientation for shapes already computed and found valid."""
-    order = labeling.order
-    arcs = {(u, v) for i, u in enumerate(order) for v in order[i + 1:]}
-    pos = labeling.as_dict()
-    masks = p.graph.masks
-    for v, s in zip(p.independent, shapes):
-        for u in bits(masks[v]):
-            arcs.add((u, v) if s.kind == "wrapped" and pos[u] <= s.a else (v, u))
-    return Orientation(p.graph, frozenset(arcs))
+    """construct_orientation for shapes already computed and found valid.
+
+    Its topological order lists the interval and empty independent vertices,
+    then the clique by position, each wrapped vertex right after the end of
+    its prefix.  Every out-set is a window of that order: a clique vertex
+    feeds everything after it, an independent vertex the clique vertices of
+    its interval or of its suffix.  O(k + t) mask operations in all.
+    """
+    shape = dict(zip(p.independent, shapes))
+    after = [[] for _ in range(p.k + 1)]  # after[i]: wrapped vertices whose prefix ends at position i
+    order = []
+    for v, s in shape.items():
+        (after[s.a] if s.kind == "wrapped" else order).append(v)
+    at = [0] * (p.k + 1)  # at[i]: the place of clique position i in the order
+    for i, u in enumerate(labeling.order, start=1):
+        at[i] = len(order)
+        order.append(u)
+        order.extend(after[i])
+    n = len(order)
+
+    def window(j: int, v: int) -> tuple[int, int]:
+        s = shape.get(v)
+        if s is None:  # a clique vertex
+            return j + 1, n
+        if s.kind == "interval":
+            return at[s.a], at[s.b] + 1
+        return (at[s.b], n) if s.kind == "wrapped" else (0, 0)
+
+    windows = [window(j, v) for j, v in enumerate(order)]
+    return Orientation._from_windows(p.graph, order, windows, vertex_mask(p.clique))
 
 
 def recognize(p: SplitPartition, verify: bool = True) -> Decision:
     """Full recognition with certificates.
 
-    With verify on (the default) a success decision carries an orientation that
-    passed acyclicity and shortcut-freeness.  Failures carry the circular-ones
-    refutation, upgraded to a case-tagged seven-vertex witness when the
-    independent set has at most three vertices.  verify=False skips building
-    the quadratic-size orientation and is meant for scaling measurements of
-    the decision core.
+    With verify on (the default) a success decision carries an orientation,
+    built from the labeling, that passed the orientation, acyclicity and
+    shortcut-freeness checks, all in O(n * (t + 1)) mask operations.
+    Failures carry the circular-ones refutation, upgraded to a case-tagged
+    seven-vertex witness when the independent set has at most three vertices.
+    verify=False skips the orientation and its checks; it is meant for
+    scaling measurements of the decision core.
     """
     masks = neighborhood_matrix(p).columns
     perm = decide_labeling(p.k, masks)
@@ -306,11 +328,11 @@ def recognize(p: SplitPartition, verify: bool = True) -> Decision:
         raise InternalConsistencyError(f"circular-ones certificate produced an invalid labeling: {found}")
     orientation = None
     if verify:
-        orientation = _orient_labeling(p, labeling, shapes)
         try:
+            orientation = _orient_labeling(p, labeling, shapes)
             witness = find_shortcut(orientation)
-        except ValueError as exc:  # a cycle: the certificate is wrong, the input is not
-            raise InternalConsistencyError("constructed orientation is cyclic") from exc
+        except ValueError as exc:  # a failed check or a cycle: the certificate is wrong, the input is not
+            raise InternalConsistencyError(f"constructed orientation is invalid: {exc}") from exc
         if witness is not None:
             raise InternalConsistencyError(f"constructed orientation has a shortcut: {witness}")
     return Decision(True, labeling=labeling, orientation=orientation, verified=verify)
@@ -446,11 +468,6 @@ def _adjacent_quad(masks: Sequence[int], pools: list[int]) -> Optional[tuple[int
     return None
 
 
-def _sorted_arcs(o: Orientation) -> Iterator[tuple[int, int]]:
-    """The arcs in sorted order, read off the ascending out-neighbor lists."""
-    return ((u, v) for u, heads in o.out_neighbors().items() for v in heads)
-
-
 def render_decision(d: Decision, machine: bool = False) -> str:
     """External text form of a decision (plain or key=value record)."""
     if machine:
@@ -458,7 +475,7 @@ def render_decision(d: Decision, machine: bool = False) -> str:
         if d.semi_transitive:
             lines.append("labeling=" + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
             if d.orientation is not None:
-                lines.append("orientation=" + " ".join(f"{u}>{v}" for u, v in _sorted_arcs(d.orientation)))
+                lines.append("orientation=" + format_arcs(d.orientation, ">", " "))
             lines.append(f"verified={'true' if d.verified else 'false'}")
         else:
             lines.append(f"witness={d.refutation.kind}")
@@ -470,7 +487,9 @@ def render_decision(d: Decision, machine: bool = False) -> str:
         lines.append("labeling: " + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
         if d.orientation is not None:
             lines.append("orientation:")
-            lines.extend(f"{u} > {v}" for u, v in _sorted_arcs(d.orientation))
+            arcs = format_arcs(d.orientation, " > ", "\n")
+            if arcs:
+                lines.append(arcs)
         return "\n".join(lines) + "\n"
     lines = ["NOT-SEMI-TRANSITIVE"]
     witness = d.refutation.kind

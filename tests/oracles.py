@@ -28,7 +28,9 @@ def bipartition_split_oracle(g: Graph):
 def shortcut_by_path_enumeration(o: Orientation) -> bool:
     """True iff some directed path plus its closing edge misses a transitive
     edge, found by enumerating every directed path."""
-    out = o.out_neighbors()
+    out = {v: [] for v in o.graph.vertices()}
+    for u, v in sorted(o.arcs):
+        out[u].append(v)
 
     def walk(path):
         u1 = path[0]
@@ -46,6 +48,16 @@ def shortcut_by_path_enumeration(o: Orientation) -> bool:
         return False
 
     return any(walk([v]) for v in o.graph.vertices())
+
+
+def has_cycle_by_peeling(o: Orientation) -> bool:
+    """True iff repeatedly deleting the vertices without in-arcs leaves some."""
+    left = set(o.graph.vertices())
+    while True:
+        sources = {v for v in left if not any((u, v) in o.arcs for u in left)}
+        if not sources:
+            return bool(left)
+        left -= sources
 
 
 def assert_shortcut_witness(o: Orientation, w) -> None:

@@ -1,9 +1,9 @@
 import pytest
 
 from semitrans.cli import main
-from semitrans.generate import forbidden_configuration
+from semitrans.generate import GenSpec, forbidden_configuration, generate
 from semitrans.graphs import format_graph
-from semitrans.orient import parse_orientation
+from semitrans.orient import Orientation, parse_orientation
 from semitrans.recognition import InternalConsistencyError
 
 
@@ -105,6 +105,63 @@ def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ") and expected in captured.err
+
+
+def _corrupt_windows(defect, order, windows, clique):
+    """One defect in the windows of a labeling's certificate (see
+    Orientation._from_windows): an arc to a non-neighbor, an arc back to the
+    previous vertex of the order, or an edge left without a direction."""
+    windows = list(windows)
+    in_clique = [j for j, v in enumerate(order) if clique >> (v - 1) & 1]
+    if defect == "non-edge":  # an independent vertex is never adjacent to the whole clique
+        windows[next(j for j in range(len(order)) if j not in in_clique)] = (0, len(order))
+    elif defect == "backward":  # the vertex before the last clique vertex is adjacent to it
+        j = in_clique[-1]
+        windows[j] = (j - 1, j)
+    else:  # the vertex after the first clique vertex is adjacent to it
+        j = in_clique[0]
+        windows[j] = (j + 2, len(order))
+    return windows
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("non-edge", "is not an edge of the base graph"),
+    ("backward", "back to a vertex not after it in the order"),
+    ("missing-edge", "some edges are missing a direction"),
+    ("shortcut", "constructed orientation has a shortcut"),
+])
+def test_corrupted_certificate_exit_3(write, capsys, monkeypatch, defect, message):
+    # the certificate's own checks catch a bad construction; it is an
+    # internal error (exit 3), never an answer and never bad input
+    if defect == "shortcut":
+        # identity labeling of clique 1..5 with wrapped 6 (prefix 1, suffix 3..5)
+        # and 7 (prefix 1..3, suffix 5): condition 3 fails, so 6 > 3 > 7 > 5
+        # closed by 6 > 5 misses the pair 6, 7; the labeling check is off
+        text = "7 18\n" + "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6))
+        text += "1 6\n3 6\n4 6\n5 6\n1 7\n2 7\n3 7\n5 7\nC: 1 2 3 4 5\n"
+        monkeypatch.setattr("semitrans.recognition.decide_labeling", lambda k, masks: tuple(range(1, k + 1)))
+        monkeypatch.setattr("semitrans.recognition._violations", lambda shapes, ids: iter(()))
+    else:
+        p = next(generate(GenSpec(k=8, t=4, seed=2, mode="planted-yes"), count=1))
+        text = format_graph(p.graph, clique=p.clique)
+        build = Orientation._from_windows.__func__
+        monkeypatch.setattr(Orientation, "_from_windows", classmethod(
+            lambda cls, g, order, windows, clique: build(
+                cls, g, order, _corrupt_windows(defect, order, windows, clique), clique)))
+    assert main(["recognize", write("g.graph", text)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InternalConsistencyError") and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["recognize", "check-orientation"])
+def test_header_beyond_an_index_exit_2(write, capsys, command):
+    # a vertex count that no list index holds raises OverflowError where the
+    # parser allocates a mask per vertex; that is an input error, not an answer
+    assert main([command, write("huge.txt", "100000000000000000000 0\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_recognize_respects_pinned_clique(write, capsys):

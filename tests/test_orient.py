@@ -24,6 +24,7 @@ from semitrans.generate import GenSpec, forbidden_configuration, generate
 
 from oracles import (
     assert_shortcut_witness,
+    has_cycle_by_peeling,
     naive_semi_transitive_oracle,
     random_graph,
     shortcut_by_path_enumeration,
@@ -167,6 +168,35 @@ def test_one_arc_flips_of_planted_orientations_against_path_enumeration():
     assert flips[True] >= 50 and flips[False] >= 50, flips
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sweep_against_path_enumeration_on_random_orientations(seed):
+    # random acyclic orientations with n <= 11, every other one with one arc
+    # flipped (which may close a cycle), empty and edgeless graphs included
+    rng = random.Random(seed)
+    seen = {"shortcut": 0, "free": 0, "cyclic": 0, "empty": 0, "edgeless": 0}
+    for trial in range(3000):
+        o = _random_acyclic_orientation(rng, rng.randint(0, 11), rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
+        if trial % 2 and o.arcs:
+            u, v = rng.choice(sorted(o.arcs))
+            o = Orientation(o.graph, o.arcs - {(u, v)} | {(v, u)})
+        seen["empty"] += o.graph.n == 0
+        seen["edgeless"] += o.graph.n > 0 and not o.arcs
+        if has_cycle_by_peeling(o):
+            assert not is_acyclic(o) and not is_semi_transitive_orientation(o)
+            with pytest.raises(ValueError):
+                find_shortcut(o)
+            seen["cyclic"] += 1
+            continue
+        expected = shortcut_by_path_enumeration(o)
+        w = find_shortcut(o)
+        assert is_acyclic(o)
+        assert (w is not None) == expected == (not is_semi_transitive_orientation(o)), sorted(o.arcs)
+        if w is not None:
+            assert_shortcut_witness(o, w)
+        seen["shortcut" if expected else "free"] += 1
+    assert min(seen.values()) >= 20 and seen["shortcut"] >= 500 and seen["free"] >= 500, seen
+
+
 def test_reversal_preserves_semi_transitivity():
     rng = random.Random(5)
     for _ in range(120):
@@ -281,14 +311,21 @@ def test_orientation_rejects_non_orientations(arcs, message):
 
 @settings(max_examples=100, deadline=None)
 @given(graphs(max_n=7))
-def test_out_neighbors_against_plain_arc_set(g):
-    o = orient_by_order(g, sorted(g.vertices(), key=lambda v: (v * 5) % 7))
-    out = o.out_neighbors()
-    assert list(out) == list(g.vertices())
+def test_out_masks_against_plain_arc_set(g):
+    # orient_by_order builds masks directly; the arc-set constructor, the
+    # derived arcs and has_arc must all agree with arcs taken edge by edge
+    order = sorted(g.vertices(), key=lambda v: (v * 5) % 7)
+    pos = {v: i for i, v in enumerate(order)}
+    expected = {(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges}
+    o = orient_by_order(g, order)
+    assert o.arcs == expected
+    assert o.out[0] == 0 and len(o.out) == g.n + 1
     for u in g.vertices():
-        assert out[u] == tuple(sorted(v for x, v in o.arcs if x == u))
-    assert len(o.arcs) == len(g.edges)
-    assert {(min(e), max(e)) for e in o.arcs} == g.edges
+        assert o.out[u] == sum(1 << (v - 1) for x, v in expected if x == u)
+        for v in range(0, g.n + 2):
+            assert o.has_arc(u, v) == ((u, v) in expected)
+    assert Orientation(g, frozenset(expected)) == o
+    assert hash(Orientation(g, frozenset(expected))) == hash(o)
 
 
 def test_parse_orientation_errors():

@@ -536,3 +536,50 @@ def test_recognition_hereditary_on_induced_split_subgraphs():
             sub, _ = induced_subgraph(p.graph, [v for v in p.graph.vertices() if v != drop])
             sp = split_partition(sub)
             assert sp is not None and recognize(sp).semi_transitive
+
+
+def _arcs_by_the_labeling_rule(p, labeling):
+    """The orientation of a valid labeling, arc by arc as the paper states
+    it: clique edges by increasing position, the prefix of a wrapped
+    independent vertex into it, every other edge out of the independent
+    vertex."""
+    pos = {u: i for i, u in enumerate(labeling.order, start=1)}
+    arcs = {(u, v) for u in p.clique for v in p.clique if pos[u] < pos[v]}
+    for v in p.independent:
+        ps = {pos[u] for u in p.graph.neighbors(v)}
+        wrapped = 1 in ps and p.k in ps and len(ps) < p.k
+        prefix = 0
+        while prefix + 1 in ps:
+            prefix += 1
+        for u in p.graph.neighbors(v):
+            arcs.add((u, v) if wrapped and pos[u] <= prefix else (v, u))
+    return arcs
+
+
+def test_recognized_orientation_follows_the_labeling_rule():
+    # the certificate built as windows of its topological order against the
+    # arcs derived edge by edge from the labeling and the neighborhoods
+    instances = [
+        split_graph_from_types([set(), set(), set()], 0),
+        split_graph_from_types([{1}, set(), {1}], 2),
+        split_graph_from_types([{1}, {1, 2}, {2, 3}, {3}], 4),
+    ]
+    rng = random.Random(3)
+    for seed in range(160):
+        spec = GenSpec(k=rng.randint(1, 8), t=rng.randint(0, 5), density=rng.choice([0.3, 0.5, 0.8]),
+                       seed=seed, mode="planted-yes")
+        instances.append(next(generate(spec, count=1)))
+    for k, t in [(72, 16), (240, 20), (40, 48)]:
+        instances.append(next(generate(GenSpec(k=k, t=t, seed=1, mode="planted-yes"), count=1)))
+    seen = set()
+    for p in instances:
+        d = recognize(p)
+        assert d.semi_transitive and d.verified
+        assert d.orientation.arcs == _arcs_by_the_labeling_rule(p, d.labeling)
+        kinds = {shape_of(p, d.labeling, v).kind for v in p.independent}
+        seen |= kinds
+        if len(kinds) == 1:
+            seen.add("only-" + next(iter(kinds)))
+        if not kinds:
+            seen.add("t=0")
+    assert seen >= {"t=0", "empty", "only-wrapped", "only-interval", "wrapped", "interval"}, seen
