@@ -31,6 +31,8 @@ files must be identical.  Then each tree runs, in its own interpreter:
   a trailing space, a CR, a tab, a space or line end moved past the digits
   beside it, a moved, doubled, repeating, out-of-range or empty `C:` line),
   some of them also without the final newline;
+- `forbidden` plain and `--machine` on seeded small split graphs whose
+  clique and independent ids are shuffled together;
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -74,6 +76,7 @@ MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle"
 MATRICES_PER_SEED = 180
 FUZZ_GRAPHS_PER_SEED = 300
 CANONICAL_GRAPHS_PER_EDIT = 5    # per seed, files in format_graph's layout with one edit each
+SPLIT_GRAPHS_PER_SEED = 120      # small split graphs for `forbidden`
 DIFFTEST_SPECS = (
     "k=5,t=3,density=0.5,seed=21,mode=random",
     "k=6,t=4,density=0.4,seed=2,mode=planted-no",
@@ -255,6 +258,24 @@ def _fuzz_graph_files(seeds: str, directory: Path) -> list[Path]:
     return files
 
 
+def _split_graph_files(seeds: str, directory: Path) -> list[Path]:
+    """Split graphs on at most 16 vertices: a clique, an independent set and
+    random edges between them, with the ids of the two sides interleaved."""
+    files = []
+    for seed in (int(s) for s in seeds.split(",")):
+        rng = random.Random(seed)
+        for idx in range(SPLIT_GRAPHS_PER_SEED):
+            k, t = rng.randint(1, 10), rng.randint(0, 6)
+            ids = rng.sample(range(1, k + t + 1), k + t)
+            density = rng.choice((0.3, 0.5, 0.7))
+            edges = [(a, b) for a in ids[:k] for b in ids[:k] if a < b]
+            edges += [tuple(sorted((u, v))) for u in ids[:k] for v in ids[k:] if rng.random() < density]
+            path = directory / f"seed{seed}-split{idx:03d}.graph"
+            path.write_text(f"{k + t} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
+            files.append(path)
+    return files
+
+
 def _write_forbidden_configurations(src: str, directory: Path):
     code = ("import sys; sys.path[:0] = [sys.argv[1]]\n"
             "from pathlib import Path\n"
@@ -289,8 +310,11 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
     argvs += [["gen", *gen] for gen in GEN_ARGS]
     _write_forbidden_configurations(trees[0], inputs)
     argvs += [["forbidden", str(inputs / f"forbidden-{case}.graph")] for case in "abc"]
-    # the triple scan is cubic in n: the t=200 rejects (n=264) are left out
+    # trees older than the search over one split side scan every vertex
+    # triple, cubic in n: the t=200 rejects (n=264) stay left out for them
     argvs += [["forbidden", str(f), *flags] for f in files if f.parent.name == "verify" and _header_n(f) <= 130
+              for flags in ((), ("--machine",))]
+    argvs += [["forbidden", str(f), *flags] for f in _split_graph_files(seeds, inputs)
               for flags in ((), ("--machine",))]
     argvs += [["difftest", "--spec", spec, "--count", "20", "--no-timing"] for spec in DIFFTEST_SPECS]
     return argvs

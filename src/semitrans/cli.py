@@ -3,7 +3,8 @@
 Exit codes follow the recognize convention: 0 for the positive outcome
 (semi-transitive / certificate found / all methods agree), 1 for the negative
 outcome, 2 for errors such as malformed input or guard violations, 3 for an
-internal error (a failed consistency check), which is never an answer.
+internal error (a failed consistency check or any other bug), which is never
+an answer.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ def _parse_spec_string(text: str) -> GenSpec:
             fields[key] = value.strip()
         else:
             raise ValueError(f"unknown spec field {key!r}")
+    for key in ("k", "t"):
+        if key not in fields:
+            raise ValueError(f"spec field {key!r} is missing")
     return GenSpec(**fields)
 
 
@@ -251,7 +255,7 @@ def main(argv=None) -> int:
     except (MemoryError, OverflowError):  # a header that asks for 10^12 vertices, or more than an index holds
         print("error: out of memory", file=sys.stderr)
         return 2
-    except (AssertionError, RecursionError) as exc:
+    except Exception as exc:  # a failed consistency check, or any other bug: never an answer
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -164,6 +164,9 @@ def bench(
     is dominated by writing out the clique tournament, not by the decision.
     Slopes are log-log fits against the grid axes, averaged over rows/columns.
     """
+    for name, values in (("k", ks), ("t", ts), ("reps", [reps])):
+        if min(values, default=1) < 1:
+            raise ValueError(f"{name}={min(values)} is below 1")
     rows = []
     cells: dict[tuple[int, int], float] = {}
     for k in ks:

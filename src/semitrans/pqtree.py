@@ -2,12 +2,12 @@
 
 The tree represents exactly the set of row orders under which every column
 reduced so far has its ones consecutive.  P-nodes permute children freely,
-Q-nodes only reverse.  Reduction applies the standard template set (leaf,
-P1-P6, Q1-Q3): a pertinent node classifies as empty, full, or partial, where
-a partial node normalizes to an ordered list of subtrees reading empty-side
-first, full-side last.  Below the pertinent root the partial nodes form a
-chain (each has at most one partial child), which is walked iteratively from
-the top, so the walk needs no call stack proportional to the tree depth.
+Q-nodes only reverse.  A pertinent node is empty, full, or partial.  One rule
+stands for the template set: at the pertinent root, P- or Q-node, the
+non-empty children form one run, full inside, with at most one partial child
+at each end, which opens into its subtrees, empty side outermost.  The partial
+nodes below the root form a chain (each has at most one partial child), walked
+iteratively from the top, so the walk needs no call stack as deep as the tree.
 
 Every node keeps a parent pointer and its leaf count, and the tree keeps a
 row -> leaf table, so a reduction touches only what the column touches: it
@@ -53,11 +53,8 @@ def _make_p(nodes: list[_Node]) -> _Node:
 
 
 def _make_q(items: list[_Node]) -> _Node:
-    if len(items) == 1:
-        return items[0]
-    if len(items) == 2:
-        return _Node(_P, items)
-    return _Node(_Q, items)
+    """A root run's node; the run never has two items (a partial end opens into two or more)."""
+    return items[0] if len(items) == 1 else _Node(_Q, items)
 
 
 def _adopt(top: _Node):
@@ -216,57 +213,39 @@ class PQTree:
         return left + right[::-1]
 
     def _apply_root(self, node: _Node):
-        """Templates at the pertinent root, where the block may sit mid-frontier."""
+        """The one root template: the non-empty children form a run, full
+        inside, with at most one partial child at each end.  A P root puts its
+        run, the full children as one P-node, in a Q-node after the empties."""
         if node.kind == _LEAF:
             return
         if node.kind == _P:
             empty, full, partial = self._split(node)
-            if len(partial) == 0:
-                if len(full) >= 2:
-                    node.children = empty + [_Node(_P, full)]
-                return
-            if len(partial) == 1:
-                items = self._partial_items(partial[0])
-                if full:
-                    items = items + [_make_p(full)]
-                node.children = empty + [_make_q(items)]
-                return
-            if len(partial) == 2:
-                left = self._partial_items(partial[0])
-                right = self._partial_items(partial[1])
-                items = left + ([_make_p(full)] if full else []) + right[::-1]
-                node.children = empty + [_make_q(items)]
-                return
-            raise _Fail
-        # Q root: children must read E* [partial] F* [partial] E*; the left
-        # partial splices empty-side out, the right one full-side in
-        new_children: list[_Node] = []
-        state = 0
-        for ch in node.children:
-            lab = self._label(ch)
-            if state == 0:
-                if lab == _EMPTY:
-                    new_children.append(ch)
-                elif lab == _PARTIAL:
-                    new_children.extend(self._partial_items(ch))
-                    state = 1
-                else:
-                    new_children.append(ch)
-                    state = 1
-            elif state == 1:
-                if lab == _FULL:
-                    new_children.append(ch)
-                elif lab == _PARTIAL:
-                    new_children.extend(self._partial_items(ch)[::-1])
-                    state = 2
-                else:
-                    new_children.append(ch)
-                    state = 2
-            else:
-                if lab != _EMPTY:
-                    raise _Fail
-                new_children.append(ch)
-        node.children = new_children
+            if len(partial) > 2:
+                raise _Fail
+            run = partial[:1] + ([_make_p(full)] if full else []) + partial[1:]
+            node.children = empty + [_make_q(self._open_run(run))]
+            return
+        children, pert = node.children, self._pert
+        first, last = 0, len(children)
+        while children[first] not in pert:
+            first += 1
+        while children[last - 1] not in pert:
+            last -= 1
+        run = children[first:last]
+        for ch in run[1:-1]:
+            if pert.get(ch) != ch.leaves:
+                raise _Fail
+        node.children = children[:first] + self._open_run(run) + children[last:]
+
+    def _open_run(self, run: list[_Node]) -> list[_Node]:
+        """The run with each partial end replaced by its _partial_items, the
+        right one reversed, so both empty sides face out.  A new node is never
+        partial, and neither is a run's only child (it would be the root)."""
+        if self._label(run[-1]) == _PARTIAL:
+            run = run[:-1] + self._partial_items(run[-1])[::-1]
+        if self._label(run[0]) == _PARTIAL:
+            run = self._partial_items(run[0]) + run[1:]
+        return run
 
     def _normalize(self, node: _Node):
         """Splice out a root-template node left with a single child."""

@@ -405,16 +405,12 @@ def check_small_I(p: SplitPartition, verify: bool = True) -> Decision:
     """
     if p.t > 3:
         raise ValueError(f"|I|={p.t} exceeds 3; reduce twins first")
+    found = _first_forbidden(p.graph, p.independent)
+    if found is not None:
+        return Decision(False, refutation=Refutation(*found))
     imask = vertex_mask(p.independent)
     types = {u: p.graph.masks[u] & imask for u in p.clique}
     present = {frozenset(bits(ty)) for ty in set(types.values())}
-    if p.t == 3:
-        a, b, c = p.independent
-        for tag, req in forbidden_types(a, b, c).items():
-            if all(r in present for r in req):
-                quad = [min(u for u in p.clique if types[u] == want) for want in map(vertex_mask, req)]
-                witness = tuple(sorted([a, b, c] + quad))
-                return Decision(False, refutation=Refutation(f"case-{tag}", witness))
     slots = _slot_order(p.independent, present)
     slot_index = {vertex_mask(ty): i for i, ty in enumerate(slots)}
     order = tuple(sorted(p.clique, key=lambda u: (slot_index[types[u]], u)))
@@ -433,21 +429,29 @@ def check_small_I(p: SplitPartition, verify: bool = True) -> Decision:
 def find_forbidden_subgraph(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
     """Search for one of the three forbidden seven-vertex configurations.
 
-    Anchors on non-adjacent triples, classifies every other vertex by its
-    adjacency into the triple, and looks for a pairwise-adjacent quadruple with
-    the required four types.  Returns (case tag, sorted vertex set) for the
-    first witness in deterministic order, or None.
+    Returns (case tag, sorted vertex set) for the first witness in
+    deterministic order, or None.  The search runs over the independent side
+    of a split partition only: a configuration's triple lies in the
+    independent side of every split partition, since a clique vertex in it
+    would put a quadruple vertex that misses it on the independent side,
+    adjacent to a vertex already there.
     """
-    if split_partition(g) is None:
+    p = split_partition(g)
+    if p is None:
         raise ValueError("not a split graph")
+    return _first_forbidden(g, p.independent)
+
+
+def _first_forbidden(g: Graph, independent: Sequence[int]) -> Optional[tuple[str, tuple[int, ...]]]:
+    """Anchor on the triples of an independent set in ascending order, class
+    every other vertex by its adjacency into the triple, and look for a
+    pairwise-adjacent quadruple with the four types of a case: (case tag,
+    sorted vertex set) for the first one found, or None."""
     masks = g.masks
     universe = (1 << g.n) - 1
-    for triple in combinations(g.vertices(), 3):
-        a, b, c = triple
-        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-            continue
+    for triple in combinations(sorted(independent), 3):
         others = universe & ~vertex_mask(triple)
-        for tag, req in forbidden_types(a, b, c).items():
+        for tag, req in forbidden_types(*triple).items():
             # pool i: the vertices outside the triple whose neighborhood in it is req[i]
             pools = [reduce(and_, (masks[x] if x in r else ~masks[x] for x in triple), others) for r in req]
             if not all(pools):

@@ -5,10 +5,14 @@ path enumeration, exhaustive permutation sweeps.  These implementations must
 stay independent of the library code paths they are used to check.
 """
 
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 
 from semitrans import BinaryMatrix, Graph, Orientation, orient_by_order
+from semitrans.graphs import bits, vertex_mask
 from semitrans.pqtree import PQTree
+from semitrans.recognition import forbidden_types
 
 
 def bipartition_split_oracle(g: Graph):
@@ -80,6 +84,27 @@ def naive_semi_transitive_oracle(g: Graph):
         o = orient_by_order(g, order)
         if not shortcut_by_path_enumeration(o):
             return o
+    return None
+
+
+def forbidden_subgraph_reference(g: Graph):
+    """(case tag, sorted vertex set) of the first forbidden configuration over
+    every non-adjacent vertex triple in ascending order, with the quadruple
+    first in ascending order of its four vertices; or None."""
+    masks = g.masks
+    universe = (1 << g.n) - 1
+    for triple in combinations(g.vertices(), 3):
+        a, b, c = triple
+        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
+            continue
+        others = universe & ~vertex_mask(triple)
+        for tag, req in forbidden_types(a, b, c).items():
+            pools = [reduce(and_, (masks[x] if x in r else ~masks[x] for x in triple), others) for r in req]
+            for u1 in bits(pools[0]):
+                for u2 in bits(pools[1] & masks[u1]):
+                    for u3 in bits(pools[2] & masks[u1] & masks[u2]):
+                        for u4 in bits(pools[3] & masks[u1] & masks[u2] & masks[u3]):
+                            return f"case-{tag}", tuple(sorted(triple + (u1, u2, u3, u4)))
     return None
 
 

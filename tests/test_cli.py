@@ -86,6 +86,7 @@ def test_recognize_out_of_memory_exit_2(write, capsys, monkeypatch):
 @pytest.mark.parametrize("exc", [
     InternalConsistencyError("certificate failed"),
     RecursionError("too deep"),
+    KeyError("stage"),
     pytest.param(None, id="cyclic-certificate"),
 ])
 def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
@@ -275,6 +276,9 @@ def test_difftest_compact_spec_flag(capsys):
     assert "instances: 10" in out and "disagreements: 0" in out
     assert main(["difftest", "--count", "1"]) == 2  # neither --spec nor --k/--t
     assert "error:" in capsys.readouterr().err
+    for spec, field in (("k=4", "'t'"), ("t=2,seed=1", "'k'")):
+        assert main(["difftest", "--spec", spec, "--count", "1"]) == 2
+        assert capsys.readouterr().err == f"error: spec field {field} is missing\n"
 
 
 def test_bench_command(capsys):
@@ -282,6 +286,13 @@ def test_bench_command(capsys):
     out = capsys.readouterr().out
     assert out.startswith("k t median_s")
     assert "slope_k:" in out
+    for argv, bad in ((["--k", "4", "--t", "2", "--reps", "0"], "reps=0"),
+                      (["--k", "4", "--t", "2", "--reps", "-1"], "reps=-1"),
+                      (["--k", "-1", "--t", "2"], "k=-1"),
+                      (["--k", "0,4", "--t", "2"], "k=0"),
+                      (["--k", "4", "--t", "0,2"], "t=0")):
+        assert main(["bench", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {bad} is below 1\n"
 
 
 def test_cli_rejects_bad_mode(capsys):

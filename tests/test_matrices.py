@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import permutations
@@ -364,6 +365,56 @@ def test_reduction_order_matches_sorted_reference():
             assert perm == reference(mtx), (name, mtx)
             answers[name][perm is None] += 1
     assert min(answers["c1p"] + answers["circ1p"]) >= 200, answers
+
+
+def _frontier_matrix(rng):
+    """A matrix of 2..14 rows whose columns follow a hidden row order:
+    intervals, arcs, random columns and sparse ones of 2 or 3 rows, in one of
+    five mixes; or disjoint blocks of the hidden order followed by sparse
+    columns across them, which make P roots with three partial children."""
+    m = rng.randint(2, 14)
+    hidden = rng.sample(range(m), m)
+
+    def run(start, length):  # length rows of the hidden order, wrapping
+        return sum(1 << hidden[(start + off) % m] for off in range(length))
+
+    cols = []
+    if rng.random() < 0.2:
+        start = 0
+        while start < m:
+            size = rng.randint(2, 4)
+            cols.append(run(start, min(size, m - start)))
+            start += size
+        mix = (0, 0, 0, 1)
+    else:
+        mix = rng.choice(((1, 0, 0, 0), (0, 1, 0, 0), (4, 4, 1, 1), (1, 1, 1, 1), (3, 0, 0, 1)))
+    for kind in rng.choices(("interval", "arc", "random", "sparse"), mix, k=rng.randint(1, 24)):
+        if kind == "interval":
+            lo = rng.randrange(m)
+            cols.append(run(lo, rng.randint(1, m - lo)))
+        elif kind == "arc":
+            cols.append(run(rng.randrange(m), rng.randint(1, m)))
+        elif kind == "random":
+            cols.append(rng.getrandbits(m))
+        else:
+            cols.append(sum(1 << r for r in rng.sample(range(m), min(m, rng.randint(2, 3)))))
+    return BinaryMatrix(m, len(cols), tuple(cols))
+
+
+def test_pqtree_frontiers_pinned():
+    # the other tests only check that a certificate is valid; this one pins
+    # which one the engine returns, since every printed labeling is read off
+    # it.  Over these 2000 matrices the pertinent root is a P-node with 0, 1,
+    # 2 and 3 partial children, and a Q-node whose run has a partial child at
+    # neither end, at the left, at the right and at both; each case both
+    # reduces and fails, except that a P root with no partial child never
+    # fails and one with three always does
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        mtx = _frontier_matrix(rng)
+        digest.update(repr((has_consecutive_ones(mtx), has_circular_ones(mtx))).encode())
+    assert digest.hexdigest() == "a3266f112954e979eba1c5a94e33fbf854879e6babce982ceace50477b6b3e8b"
 
 
 # -- pq-tree internals ---------------------------------------------------------

@@ -34,7 +34,7 @@ from semitrans.generate import GenSpec, forbidden_configuration, generate, split
 from semitrans.graphs import format_graph, normalize_partition, parse_graph_pinned
 from semitrans.orient import topological_order
 
-from oracles import assert_shortcut_witness
+from oracles import assert_shortcut_witness, forbidden_subgraph_reference
 from strategies import split_partitions
 
 
@@ -409,6 +409,28 @@ def test_find_forbidden_with_padding_vertex():
     sub, _ = induced_subgraph(p.graph, found[1])
     assert oracle_semi_transitive(sub) is None
     assert base.graph.n == 7
+
+
+def test_find_forbidden_matches_all_triples_scan():
+    # the search reads the independent side of one split partition, the
+    # reference every vertex triple; shuffled ids put the two sides in any
+    # order.  check_small_I must give the same witness when t <= 3
+    rng = random.Random(8)
+    found = 0
+    for idx in range(2000):
+        k, t = rng.randint(1, 8), rng.randint(0, 6)
+        mode = "planted-no" if idx % 3 == 0 and k >= 4 and t >= 3 else "random"
+        p = next(generate(GenSpec(k=k, t=t, density=rng.choice((0.3, 0.5, 0.7)), seed=idx, mode=mode)))
+        ids = rng.sample(range(1, p.graph.n + 1), p.graph.n)
+        g = Graph(p.graph.n, [tuple(sorted((ids[u - 1], ids[v - 1]))) for u, v in p.graph.edges])
+        expected = forbidden_subgraph_reference(g)
+        assert find_forbidden_subgraph(g) == expected
+        q = split_partition(g)
+        if q.t <= 3:
+            d = check_small_I(q, verify=False)
+            assert (d.refutation and (d.refutation.kind, d.refutation.vertices)) == expected
+        found += expected is not None
+    assert found >= 300
 
 
 def test_find_forbidden_rejects_non_split():
