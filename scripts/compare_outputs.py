@@ -33,6 +33,8 @@ files must be identical.  Then each tree runs, in its own interpreter:
   some of them also without the final newline;
 - `forbidden` plain and `--machine` on seeded small split graphs whose
   clique and independent ids are shuffled together;
+- `oracle` plain and `--machine` on seeded graphs with at most 9 vertices,
+  half of them grown by planting twins, and on one graph above its guard;
 - every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
@@ -51,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -77,6 +80,7 @@ MATRICES_PER_SEED = 180
 FUZZ_GRAPHS_PER_SEED = 300
 CANONICAL_GRAPHS_PER_EDIT = 5    # per seed, files in format_graph's layout with one edit each
 SPLIT_GRAPHS_PER_SEED = 120      # small split graphs for `forbidden`
+ORACLE_GRAPHS_PER_SEED = 150     # graphs on at most 9 vertices for `oracle`
 DIFFTEST_SPECS = (
     "k=5,t=3,density=0.5,seed=21,mode=random",
     "k=6,t=4,density=0.4,seed=2,mode=planted-no",
@@ -276,6 +280,38 @@ def _split_graph_files(seeds: str, directory: Path) -> list[Path]:
     return files
 
 
+def _oracle_graph_files(seeds: str, directory: Path) -> list[Path]:
+    """Graphs on at most 9 vertices with their ids shuffled; in every other
+    one, the vertices past a random base each copy the neighborhood of an
+    earlier vertex, adjacent to it or not, so the oracle removes twins and
+    puts them back.  Plus one graph on 10 vertices, above the oracle's guard."""
+    files = []
+    for seed in (int(s) for s in seeds.split(",")):
+        rng = random.Random(seed)
+        for idx in range(ORACLE_GRAPHS_PER_SEED):
+            n = rng.randint(1, 9)
+            base = n if idx % 2 == 0 else rng.randint(1, n)
+            density = rng.choice((0.3, 0.5, 0.7))
+            adj: list[set[int]] = [set() for _ in range(n)]
+            for u, v in combinations(range(base), 2):
+                if rng.random() < density:
+                    adj[u].add(v)
+                    adj[v].add(u)
+            for w in range(base, n):
+                v = rng.randrange(w)
+                for x in adj[v] | ({v} if rng.random() < 0.5 else set()):
+                    adj[w].add(x)
+                    adj[x].add(w)
+            ids = rng.sample(range(1, n + 1), n)
+            edges = sorted(tuple(sorted((ids[u], ids[v]))) for u in range(n) for v in adj[u] if u < v)
+            path = directory / f"seed{seed}-oracle{idx:03d}.graph"
+            path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+            files.append(path)
+    path = directory / "oracle-over-guard.graph"
+    path.write_text("10 0\n")
+    return files + [path]
+
+
 def _write_forbidden_configurations(src: str, directory: Path):
     code = ("import sys; sys.path[:0] = [sys.argv[1]]\n"
             "from pathlib import Path\n"
@@ -288,7 +324,7 @@ def _write_forbidden_configurations(src: str, directory: Path):
 
 
 def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Path, seeds: str) -> list[list[str]]:
-    """check-orientation, c1p, circ1p, parser-error, parser-fuzz, gen, forbidden and difftest runs."""
+    """check-orientation, c1p, circ1p, parser-error, parser-fuzz, gen, forbidden, oracle and difftest runs."""
     argvs = []
     matrix_dir = tmp / "matrices"
     matrix_dir.mkdir()
@@ -315,6 +351,8 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
     argvs += [["forbidden", str(f), *flags] for f in files if f.parent.name == "verify" and _header_n(f) <= 130
               for flags in ((), ("--machine",))]
     argvs += [["forbidden", str(f), *flags] for f in _split_graph_files(seeds, inputs)
+              for flags in ((), ("--machine",))]
+    argvs += [["oracle", str(f), *flags] for f in _oracle_graph_files(seeds, inputs)
               for flags in ((), ("--machine",))]
     argvs += [["difftest", "--spec", spec, "--count", "20", "--no-timing"] for spec in DIFFTEST_SPECS]
     return argvs

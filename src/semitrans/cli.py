@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .generate import GenSpec, generate
+from .generate import MODES, GenSpec, generate
 from .graphs import GraphFormatError, format_graph, parse_graph_pinned, normalize_partition, split_partition
 from .harness import METHODS, bench, difftest
 from .matrices import (
@@ -213,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", default="random",
-                    choices=["random", "exhaustive", "planted-yes", "planted-no"])
+    sp.add_argument("--mode", default="random", choices=MODES)
     sp.add_argument("--count", type=int, default=1)
     sp.set_defaults(func=_cmd_gen)
 
@@ -225,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, default=None)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", default="random",
-                    choices=["random", "exhaustive", "planted-yes", "planted-no"])
+    sp.add_argument("--mode", default="random", choices=MODES)
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--methods", default=",".join(METHODS))
     sp.add_argument("--oracle-guard", type=int, default=10)

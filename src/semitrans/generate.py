@@ -15,6 +15,7 @@ from .graphs import Graph, SplitPartition, bits, normalize_partition, vertex_mas
 from .recognition import forbidden_types
 
 _MASK64 = (1 << 64) - 1
+MODES = ("random", "exhaustive", "planted-yes", "planted-no")
 
 
 class SplitMix64:
@@ -73,14 +74,14 @@ class GenSpec:
     t: int
     density: float = 0.5
     seed: int = 0
-    mode: str = "random"   # random | exhaustive | planted-yes | planted-no
+    mode: str = "random"   # one of MODES
 
     def __post_init__(self):
         if self.k < 0 or self.t < 0:
             raise ValueError("k and t must be nonnegative")
         if not (0.0 <= self.density <= 1.0):
             raise ValueError("density must be a probability")
-        if self.mode not in ("random", "exhaustive", "planted-yes", "planted-no"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and (self.k > 5 or self.t > 4):
             raise ValueError("exhaustive mode is bounded by k <= 5, t <= 4")
@@ -202,8 +203,10 @@ def generate(spec: GenSpec, count: int = 1) -> Iterator[SplitPartition]:
     planted-yes: instances accepted by construction; planted-no: instances
     containing a forbidden configuration.  exhaustive: every subset-type
     profile with at most k clique vertices over exactly t independent ones,
-    deduplicated after normalization (count is ignored).
+    deduplicated after normalization (count must still be at least 1).
     """
+    if count < 1:
+        raise ValueError(f"count={count} is below 1")
     if spec.mode == "exhaustive":
         yield from _exhaustive(spec)
         return

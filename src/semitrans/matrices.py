@@ -53,9 +53,6 @@ class BinaryMatrix:
                     cols[j] |= 1 << r
         return BinaryMatrix(m, n, tuple(cols), tuple(labels) if labels is not None else None)
 
-    def entry(self, row: int, col: int) -> int:
-        return (self.columns[col - 1] >> (row - 1)) & 1
-
     def rows(self) -> list[list[int]]:
         return [[(c >> r) & 1 for c in self.columns] for r in range(self.m)]
 
@@ -71,25 +68,31 @@ def data_lines(text: str) -> list[tuple[int, str]]:
     return [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
 
 
-def parse_matrix(text: str) -> BinaryMatrix:
-    """Parse "m n" followed by m lines of n characters over {0,1}."""
+def read_header(text: str, names: str) -> tuple[int, int, list[tuple[int, str]]]:
+    """The two integers of a text's header line, named by names (such as
+    'n m') in its error message, and the data lines after it."""
     lines = data_lines(text)
     if not lines:
         raise ValueError("line 1: empty input")
     head_no, head = lines[0]
     parts = head.split()
     if len(parts) != 2:
-        raise ValueError(f"line {head_no}: expected header 'm n'")
+        raise ValueError(f"line {head_no}: expected header '{names}'")
     try:
-        m, n = int(parts[0]), int(parts[1])
+        return int(parts[0]), int(parts[1]), lines[1:]
     except ValueError:
         raise ValueError(f"line {head_no}: non-integer header") from None
-    if n == 0 and len(lines) == 1:  # the m rows are empty lines, dropped above
+
+
+def parse_matrix(text: str) -> BinaryMatrix:
+    """Parse "m n" followed by m lines of n characters over {0,1}."""
+    m, n, lines = read_header(text, "m n")
+    if n == 0 and not lines:  # the m rows are empty lines, dropped as blank
         return BinaryMatrix(m, 0, ())
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
+    if len(lines) != m:
+        raise ValueError(f"expected {m} matrix rows, found {len(lines)}")
     rows = []
-    for line_no, ln in lines[1:]:
+    for line_no, ln in lines:
         if len(ln) != n or any(ch not in "01" for ch in ln):
             raise ValueError(f"line {line_no}: expected {n} characters over 0/1")
         rows.append([int(ch) for ch in ln])

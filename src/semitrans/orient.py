@@ -37,7 +37,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .graphs import Graph, bits
-from .matrices import SizeGuardError, data_lines
+from .matrices import SizeGuardError, read_header
 
 
 @dataclass(frozen=True, init=False)
@@ -386,11 +386,13 @@ def oracle_semi_transitive(
 
     Searches vertex orders (every acyclic orientation arises from one), so
     absence is a proof that g is not semi-transitive.  With reduce_twins on,
-    twin vertices (N(a)\\{b} == N(b)\\{a}) are removed first and the reduced
-    orientation is extended back by giving each removed twin the arcs of its
-    keeper; semi-transitivity is preserved both ways, and the extended result
-    is re-verified before being returned.  With reduce_twins off the result is
-    exactly orient_by_order of the lexicographically first valid permutation.
+    twin vertices (N(a)\\{b} == N(b)\\{a}) are removed first, and the order
+    found for the reduced graph is extended back by placing each removed twin
+    right after its keeper, so the twin takes the keeper's direction to every
+    other vertex, plus keeper -> twin; semi-transitivity is preserved both
+    ways, and the extended result is re-verified before being returned.  In
+    both cases the result is orient_by_order of a vertex order; with
+    reduce_twins off it is the lexicographically first valid permutation.
     """
     n = g.n
     if n > max_vertices:
@@ -405,27 +407,10 @@ def oracle_semi_transitive(
     found = _search_semi_transitive_order(reduction.graph)
     if found is None:
         return None
-    back = {new: old for new, old in enumerate(reduction.kept, start=1)}
-    arcs = {(back[u], back[v]) for u, v in orient_by_order(reduction.graph, found).arcs}
-    direction: dict[int, dict[int, bool]] = {}
-    for u, v in arcs:
-        direction.setdefault(u, {})[v] = True
-        direction.setdefault(v, {})[u] = False
+    order = [reduction.kept[v - 1] for v in found]
     for keeper, removed in reversed(reduction.removals):
-        dirs = dict(direction.get(keeper, {}))
-        for x, outward in dirs.items():
-            if x == removed:
-                continue
-            if not g.has_edge(removed, x):
-                continue
-            arcs.add((removed, x) if outward else (x, removed))
-            direction.setdefault(removed, {})[x] = outward
-            direction.setdefault(x, {})[removed] = not outward
-        if g.has_edge(keeper, removed):
-            arcs.add((keeper, removed))
-            direction.setdefault(keeper, {})[removed] = True
-            direction.setdefault(removed, {})[keeper] = False
-    out = Orientation(g, frozenset(arcs))
+        order.insert(order.index(keeper) + 1, removed)
+    out = orient_by_order(g, order)
     if not is_semi_transitive_orientation(out):
         raise AssertionError("twin extension broke semi-transitivity; this is a bug")
     return out
@@ -433,22 +418,12 @@ def oracle_semi_transitive(
 
 def parse_orientation(text: str) -> Orientation:
     """Parse "n m" followed by m arc lines "u > v"."""
-    lines = data_lines(text)
-    if not lines:
-        raise ValueError("line 1: empty input")
-    head_no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ValueError(f"line {head_no}: expected header 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"line {head_no}: non-integer header") from None
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} arcs, found {len(lines) - 1}")
+    n, m, lines = read_header(text, "n m")
+    if len(lines) != m:
+        raise ValueError(f"expected {m} arcs, found {len(lines)}")
     masks = [0] * (n + 1)
     out = [0] * (n + 1)
-    for line_no, ln in lines[1:]:
+    for line_no, ln in lines:
         toks = ln.replace(">", " > ").split()
         if len(toks) != 3 or toks[1] != ">":
             raise ValueError(f"line {line_no}: expected 'u > v'")

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, bits, neighborhood_matrix, split_partition, vertex_mask
 from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
-from .orient import Orientation, find_shortcut, format_arcs, is_semi_transitive_orientation
+from .orient import Orientation, find_shortcut, format_arcs
 from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 
 
@@ -35,20 +35,9 @@ class Labeling:
 
     order: tuple[int, ...]  # order[p-1] = vertex at position p
 
-    def position_of(self, v: int) -> int:
-        return self.as_dict()[v]
-
     @property
     def k(self) -> int:
         return len(self.order)
-
-    def as_dict(self) -> dict[int, int]:
-        """Vertex -> position map, built once per labeling (do not mutate)."""
-        cached = self.__dict__.get("_pos")
-        if cached is None:
-            cached = {u: i + 1 for i, u in enumerate(self.order)}
-            object.__setattr__(self, "_pos", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -119,7 +108,8 @@ def shape_of(p: SplitPartition, labeling: Labeling, v: int) -> Optional[Shape]:
     """Classify N(v) of an independent vertex under the labeling (None = violation)."""
     if v not in p.independent:
         raise ValueError(f"{v} is not an independent vertex of the partition")
-    positions = sorted(labeling.position_of(u) for u in bits(p.graph.masks[v]))
+    position = {u: i for i, u in enumerate(labeling.order, start=1)}
+    positions = sorted(position[u] for u in bits(p.graph.masks[v]))
     return classify_positions(p.k, positions)
 
 
@@ -313,13 +303,15 @@ def recognize(p: SplitPartition, verify: bool = True) -> Decision:
         if p.t <= 3:
             # small independent sets admit an explicit witness: one of the
             # three forbidden type quadruples must be present
-            small = check_small_I(p, verify=False)
-            if small.semi_transitive:
-                raise InternalConsistencyError(
-                    "matrix pipeline rejected an instance the small-I decision accepts"
-                )
-            return small
+            return check_small_I(p, verify=False)
         return Decision(False, refutation=Refutation("circ1p-fail"))
+    return _certify(p, masks, perm, verify)
+
+
+def _certify(p: SplitPartition, masks: Sequence[int], perm: Sequence[int], verify: bool) -> Decision:
+    """The YES decision for a circular-ones row order of the neighborhood
+    masks: its labeling, re-validated, and with verify on its orientation,
+    checked for cycles and shortcuts."""
     labeling = Labeling(tuple(p.clique[r - 1] for r in perm))
     # masks and shapes are computed once and shared by validation and construction
     shapes = _labeling_shapes(p, labeling, masks)
@@ -362,68 +354,26 @@ def forbidden_types(a: int, b: int, c: int) -> dict[str, list[frozenset[int]]]:
     }
 
 
-def _slot_order(i_ids: tuple[int, ...], present: set[frozenset[int]]) -> list[frozenset[int]]:
-    """Canonical slot order of the subset types for |I| <= 3, valid whenever
-    none of the three forbidden configurations is present."""
-    fs = frozenset
-    if len(i_ids) == 0:
-        return [fs()]
-    if len(i_ids) == 1:
-        a = i_ids[0]
-        return [fs({a}), fs()]
-    if len(i_ids) == 2:
-        a, b = i_ids
-        return [fs({a}), fs({a, b}), fs({b}), fs()]
-    a, b, c = i_ids
-    abc = fs({a, b, c})
-    empty = fs()
-    pair_prefs = [fs({a, b}), fs({a, c}), fs({b, c})]
-    if abc not in present and empty not in present:
-        return [fs({a}), fs({a, b}), fs({b}), fs({b, c}), fs({c}), fs({a, c})]
-    missing_pair = next(pr for pr in pair_prefs if pr not in present)
-    x, y = sorted(missing_pair)
-    (z,) = set(i_ids) - missing_pair
-    xz, yz = fs({x, z}), fs({y, z})
-    if abc not in present:
-        return [fs({x}), xz, fs({z}), yz, fs({y}), empty]
-    s = next(w for w in sorted(i_ids) if fs({w}) not in present)
-    if s == z:
-        return [fs({x}), xz, abc, yz, fs({y}), empty]
-    if s == x:
-        return [fs({z}), xz, abc, yz, fs({y}), empty]
-    return [fs({z}), yz, abc, xz, fs({x}), empty]
-
-
 def check_small_I(p: SplitPartition, verify: bool = True) -> Decision:
-    """Direct decision for independent sets of size at most 3.
+    """Decision for independent sets of size at most 3, by the paper's
+    characterization.
 
-    Any independent set of size at most 2 is accepted.  For size 3, clique
-    vertices are grouped by their independent-side neighborhood; the graph is
-    rejected exactly when one of the three forbidden type quadruples is fully
-    present (the witness lists those seven vertices), and otherwise labeled by
-    the canonical slot order, duplicates of a type placed consecutively.
+    The graph is rejected exactly when one of the three forbidden seven-vertex
+    configurations is present (the witness lists its vertices; with at most
+    two independent vertices there is none).  Otherwise the matrix pipeline
+    must accept it, and its certificate is returned: a rejection there is an
+    internal error, never a second decision.
     """
     if p.t > 3:
         raise ValueError(f"|I|={p.t} exceeds 3; reduce twins first")
     found = _first_forbidden(p.graph, p.independent)
     if found is not None:
         return Decision(False, refutation=Refutation(*found))
-    imask = vertex_mask(p.independent)
-    types = {u: p.graph.masks[u] & imask for u in p.clique}
-    present = {frozenset(bits(ty)) for ty in set(types.values())}
-    slots = _slot_order(p.independent, present)
-    slot_index = {vertex_mask(ty): i for i, ty in enumerate(slots)}
-    order = tuple(sorted(p.clique, key=lambda u: (slot_index[types[u]], u)))
-    labeling = Labeling(order)
-    report = validate_labeling(p, labeling)
-    if not report.ok:
-        raise InternalConsistencyError(f"slot-order labeling invalid: {report.violations}")
-    orientation = None
-    if verify:
-        orientation = construct_orientation(p, labeling)
-        if not is_semi_transitive_orientation(orientation):
-            raise InternalConsistencyError("slot-order orientation failed verification")
-    return Decision(True, labeling=labeling, orientation=orientation, verified=verify)
+    masks = neighborhood_matrix(p).columns
+    perm = decide_labeling(p.k, masks)
+    if perm is None:
+        raise InternalConsistencyError("matrix pipeline rejected an instance free of the forbidden configurations")
+    return _certify(p, masks, perm, verify)
 
 
 def find_forbidden_subgraph(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:

@@ -2,9 +2,9 @@ import pytest
 
 from semitrans.cli import main
 from semitrans.generate import GenSpec, forbidden_configuration, generate
-from semitrans.graphs import format_graph
+from semitrans.graphs import format_graph, parse_graph, split_partition
 from semitrans.orient import Orientation, parse_orientation
-from semitrans.recognition import InternalConsistencyError
+from semitrans.recognition import InternalConsistencyError, check_small_I
 
 
 @pytest.fixture
@@ -88,9 +88,18 @@ def test_recognize_out_of_memory_exit_2(write, capsys, monkeypatch):
     RecursionError("too deep"),
     KeyError("stage"),
     pytest.param(None, id="cyclic-certificate"),
+    pytest.param("rejected", id="pipeline-rejects-small-yes"),
 ])
 def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
-    if exc is None:
+    if exc == "rejected":
+        # a t <= 3 graph free of the three forbidden configurations that the
+        # matrix pipeline rejects is a disagreement, never a NO: check_small_I
+        # raises it, both when recognize calls it and when called directly
+        monkeypatch.setattr("semitrans.recognition.decide_labeling", lambda k, masks: None)
+        with pytest.raises(InternalConsistencyError):
+            check_small_I(split_partition(parse_graph(PATH_GRAPH)))
+        expected = "internal error: InternalConsistencyError"
+    elif exc is None:
         # the verifier raises ValueError on a cycle; recognize must report a
         # cyclic certificate as an internal error, not as bad input (exit 2)
         cyclic = parse_orientation("3 3\n1 > 2\n2 > 3\n3 > 1\n")
@@ -239,6 +248,9 @@ def test_gen_deterministic(write, capsys):
     assert capsys.readouterr().out == first
     assert first.count("# instance") == 3
     assert "C: " in first
+    assert main(["gen", "--k", "4", "--t", "3", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: count=-1 is below 1\n"
 
 
 def test_gen_replayable_through_recognize(write, capsys, tmp_path):
@@ -259,6 +271,10 @@ def test_difftest_command(write, capsys):
     out = capsys.readouterr().out
     assert "instances: 25" in out and "disagreements: 0" in out
     assert "timing recognize:" in out
+    for count in ("0", "-3"):
+        assert main(["difftest", "--k", "4", "--t", "3", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: count={count} is below 1\n"
 
 
 def test_difftest_no_timing_byte_stable(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -255,6 +256,25 @@ def test_oracle_twin_reduction_agrees_with_raw_search():
         assert (fast is None) == (raw is None)
         if fast is not None:
             assert is_semi_transitive_orientation(fast)
+
+
+def test_oracle_orientations_pinned():
+    # the twin-reduced oracle extends the order found for the reduced graph
+    # back to every twin; this pins the orientation it returns, not only its
+    # validity.  Many of these graphs have twins, and in some a keeper is
+    # itself removed later, so a twin must be placed after a removed vertex
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    twins = chained = 0
+    for _ in range(4000):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        removals = twin_reduce(g).removals
+        twins += bool(removals)
+        chained += any(keeper == gone for keeper, _ in removals for _, gone in removals)
+        o = oracle_semi_transitive(g)
+        digest.update(repr(None if o is None else sorted(o.arcs)).encode())
+    assert twins >= 2000 and chained >= 500
+    assert digest.hexdigest() == "bcc3dea37fd4e1bcc00337fcfa1469b6d34727474a1d7024709256a876af3804"
 
 
 def test_semi_transitivity_invariant_under_twin_reduce():

@@ -116,7 +116,7 @@ def test_validate_six_type_order():
     # one clique vertex per nonempty proper type, labeled in the canonical
     # circular order; all three conditions hold
     p = split_graph_from_types([{1}, {1, 2}, {2}, {2, 3}, {3}, {1, 3}], 3)
-    lab = Labeling(p.clique)  # construction order is already the slot order
+    lab = Labeling(p.clique)  # construction order is already that circular order
     report = validate_labeling(p, lab)
     assert report.ok, report.violations
 
@@ -351,7 +351,7 @@ def test_check_small_I_six_type_order():
     p = split_graph_from_types([{1}, {1, 2}, {2}, {2, 3}, {3}, {1, 3}], 3)
     d = check_small_I(p)
     assert d.semi_transitive
-    assert d.labeling.order == p.clique  # the canonical slot order
+    assert d.labeling.order == p.clique  # already a circular order, which the pipeline keeps
     assert is_semi_transitive_orientation(d.orientation)
 
 
