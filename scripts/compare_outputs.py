@@ -35,7 +35,11 @@ files must be identical.  Then each tree runs, in its own interpreter:
   clique and independent ids are shuffled together;
 - `oracle` plain and `--machine` on seeded graphs with at most 9 vertices,
   half of them grown by planting twins, and on one graph above its guard;
-- every parser error, `gen`, `forbidden` and `difftest --no-timing` on a
+- every error of the graph, orientation and matrix readers, through
+  `recognize`, `check-orientation` (plain and `--machine`), `c1p` and
+  `circ1p`, the orientation and matrix ones after a comment line, a blank
+  line and CRLF line ends;
+- `gen` (up to k=240 and t=200), `forbidden` and `difftest --no-timing` on a
   fixed list of inputs.
 
 Stdout, stderr and exit code of every run are compared.  Each mismatch is
@@ -68,11 +72,29 @@ BAD_GRAPHS = (
     "3 2\nC: 2 3\n1 2\n2 3\n", "  # indented comment\n4 3\n 1 2 \n1 3\n\t1 4\nC: 1\n",
     "2 1\n1 \n2", "2 1\n 1\n2", "3 2\n1 2\n1 \n3",
 )
+# malformed orientation and matrix files: one per reader error branch, the
+# faulty line after a comment line, a blank line and CRLF line ends
+_BEFORE = "# c\r\n\r\n"
+NEGATIVE_HEADERS = ("-2 3", "1 -1", "-1 0", "0 -1")
+BAD_ORIENTATIONS = (
+    _BEFORE, _BEFORE + "2 1 0\r\n", _BEFORE + "2 x\r\n",
+    *(_BEFORE + header + "\r\n" for header in NEGATIVE_HEADERS),
+    "2 2\r\n" + _BEFORE + "1 > 2\r\n", "2 1\r\n" + _BEFORE + "1 < 2\r\n",
+    "2 1\r\n" + _BEFORE + "1 > x\r\n", "2 1\r\n" + _BEFORE + "1 > 1\r\n",
+    "2 1\r\n" + _BEFORE + "1 > 3\r\n", "3 2\r\n1 > 2\r\n" + _BEFORE + "2 > 1\r\n",
+)
+BAD_MATRICES = (
+    _BEFORE, _BEFORE + "2\r\n", _BEFORE + "2 x\r\n",
+    *(_BEFORE + header + "\r\n" for header in NEGATIVE_HEADERS),
+    "2 2\r\n" + _BEFORE + "10\r\n", "1 2\r\n" + _BEFORE + "1x\r\n", "1 2\r\n" + _BEFORE + "101\r\n",
+)
 GEN_ARGS = (
     ("--k", "6", "--t", "4", "--seed", "3", "--count", "3"),
     ("--k", "8", "--t", "5", "--mode", "planted-yes", "--seed", "1", "--count", "3"),
     ("--k", "8", "--t", "5", "--mode", "planted-no", "--seed", "2", "--count", "3"),
     ("--k", "3", "--t", "2", "--mode", "exhaustive"),
+    ("--k", "240", "--t", "20", "--mode", "planted-yes", "--count", "2"),
+    ("--k", "64", "--t", "200", "--mode", "planted-no", "--count", "1"),
 )
 RANDOM_ORIENTATIONS = 200   # small random digraphs: cyclic, shortcut-free or with shortcuts
 MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle")
@@ -324,7 +346,7 @@ def _write_forbidden_configurations(src: str, directory: Path):
 
 
 def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Path, seeds: str) -> list[list[str]]:
-    """check-orientation, c1p, circ1p, parser-error, parser-fuzz, gen, forbidden, oracle and difftest runs."""
+    """check-orientation, c1p, circ1p, reader-error, parser-fuzz, gen, forbidden, oracle and difftest runs."""
     argvs = []
     matrix_dir = tmp / "matrices"
     matrix_dir.mkdir()
@@ -343,6 +365,14 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
         path.write_bytes(text.encode())
         argvs.append(["recognize", str(path)])
     argvs += [["recognize", str(path)] for path in _fuzz_graph_files(seeds, inputs)]
+    for idx, text in enumerate(BAD_ORIENTATIONS):
+        path = inputs / f"bad{idx:02d}.orient"
+        path.write_bytes(text.encode())
+        argvs += [["check-orientation", str(path), *flags] for flags in ((), ("--machine",))]
+    for idx, text in enumerate(BAD_MATRICES):
+        path = inputs / f"bad{idx:02d}.matrix"
+        path.write_bytes(text.encode())
+        argvs += [[cmd, str(path)] for cmd in ("c1p", "circ1p")]
     argvs += [["gen", *gen] for gen in GEN_ARGS]
     _write_forbidden_configurations(trees[0], inputs)
     argvs += [["forbidden", str(inputs / f"forbidden-{case}.graph")] for case in "abc"]

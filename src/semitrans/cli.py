@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .generate import MODES, GenSpec, generate
-from .graphs import GraphFormatError, format_graph, parse_graph_pinned, normalize_partition, split_partition
+from .graphs import GraphFormatError, format_graph, format_pairs, parse_graph_pinned, normalize_partition, split_partition
 from .harness import METHODS, bench, difftest
 from .matrices import (
     SizeGuardError,
@@ -25,7 +25,6 @@ from .matrices import (
 )
 from .orient import (
     find_shortcut,
-    format_arcs,
     format_orientation,
     oracle_semi_transitive,
     parse_orientation,
@@ -91,7 +90,7 @@ def _cmd_oracle(args) -> int:
         return 1
     if args.machine:
         sys.stdout.write("outcome=semi-transitive\n")
-        sys.stdout.write("orientation=" + format_arcs(o, ">", " ") + "\n")
+        sys.stdout.write("orientation=" + format_pairs(o.out, ">", " ") + "\n")
     else:
         sys.stdout.write(format_orientation(o))
     return 0

@@ -11,18 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .matrices import BinaryMatrix
-
-
-class GraphFormatError(ValueError):
-    """Malformed graph file; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+from .matrices import BinaryMatrix, GraphFormatError, read_header
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -183,34 +176,17 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
 
     A file in the layout `format_graph` writes is read in bulk by
     `_parse_canonical`.  Every other file, and every file with an error, is
-    read by the line loop below, which gives the same result and is the only
-    source of error messages.
+    read by `read_header` and the line loop below, which give the same result
+    and are the only source of error messages.
     """
     parsed = _parse_canonical(text)
     if parsed is not None:
         return parsed
-    header: Optional[tuple[int, int]] = None
-    masks: list[int] = []
+    n, m, lines = read_header(text, "n m")
+    masks = [0] * (n + 1)
     count = 0
     pinned: Optional[tuple[int, ...]] = None
-    n = m = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise GraphFormatError(line_no, "expected header 'n m'")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(line_no, "non-integer header") from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(line_no, "negative header value")
-            header = (n, m)
-            masks = [0] * (n + 1)
-            continue
+    for line_no, line in lines:
         if line.startswith("C:"):
             if pinned is not None:
                 raise GraphFormatError(line_no, "duplicate 'C:' line")
@@ -219,6 +195,7 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
             except ValueError as exc:
                 raise GraphFormatError(line_no, str(exc)) from None
             continue
+        parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(line_no, f"expected edge 'u v', got {line!r}")
         try:
@@ -237,8 +214,6 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
         masks[u] |= bit
         masks[v] |= 1 << (u - 1)
         count += 1
-    if header is None:
-        raise GraphFormatError(1, "empty input")
     if count != m:
         raise GraphFormatError(1, f"header promised {m} edges, found {count}")
     return Graph._from_masks(n, tuple(masks)), pinned
@@ -262,20 +237,23 @@ _NOT_DIGITS = str.maketrans("", "", "0123456789")
 _CHUNK = 1 << 14  # characters of edge lines per bulk pass: bounds the token lists held at once
 
 
-def _decimal(tok: str) -> bool:
-    """tok is a number as str() writes it: ASCII digits, no sign, no leading zero."""
-    return tok.isdigit() and tok.isascii() and (tok[0] != "0" or tok == "0")
+def _spaced(line: str) -> Optional[list[str]]:
+    """The tokens of line if it is them joined by single spaces, else None."""
+    tokens = line.split()
+    return tokens if " ".join(tokens) == line else None
 
 
 def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...]]]]:
-    """Read a graph file in exactly the layout `format_graph` writes, in bulk.
+    """Read a graph file in the layout `format_graph` writes, in bulk.
 
     The layout is "n m\\n", then m lines "u v\\n", then optionally one final
-    line "C: i1 ... ik\\n", with every number written as str() writes it and
-    one space between tokens.  Returns what the line loop returns for the
-    same text, or None for any other text and for every text the line loop
-    rejects; it raises only where the line loop raises on the same header
-    (the masks list of a header asking for too many vertices).
+    line "C: i1 ... ik\\n", with one space between tokens.  The edge ids are
+    ASCII digits; every number is read by int(), as the line loop reads it,
+    so a spelling such as a leading zero is taken and the values are checked.
+    Returns what the line loop returns for the same text, or None for any
+    other text and for every text the line loop rejects; it raises only where
+    the line loop raises on the same header (the masks list of a header
+    asking for too many vertices).
 
     Edge lines are read in chunks of about _CHUNK characters, each with the
     line loop's checks done in bulk: the layout by deleting the digits, ids
@@ -285,12 +263,14 @@ def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...
     than 2m.
     """
     eol = text.find("\n")
-    header = text[:eol].split(" ")
-    if eol < 0 or len(header) != 2 or not all(map(_decimal, header)):
+    header = _spaced(text[:eol]) if eol >= 0 else None
+    if header is None or len(header) != 2:
         return None
     try:
         n, m = int(header[0]), int(header[1])
-    except ValueError:  # more digits than int() reads; the line loop reports it
+    except ValueError:  # not a number, or more digits than int() reads
+        return None
+    if n < 0 or m < 0:
         return None
     pinned = None
     stop = text.find("C", eol)
@@ -300,8 +280,8 @@ def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...
         line = text[stop:]
         if not line.startswith("C: ") or line.find("\n") != len(line) - 1:
             return None
-        pins = line[3:-1].split(" ") if len(line) > 4 else []
-        if not all(map(_decimal, pins)):
+        pins = _spaced(line[3:-1])
+        if pins is None:
             return None
         try:
             pinned = _pins(pins, n)
@@ -312,7 +292,7 @@ def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...
     start = eol + 1
     while start < stop:
         end = text.find("\n", start + _CHUNK, stop) + 1 or stop
-        lines = _read_edge_lines(text[start:end], n, len(header[0]), masks)
+        lines = _read_edge_lines(text[start:end], n, masks)
         if lines is None:
             return None
         count += lines
@@ -323,11 +303,11 @@ def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...
     return Graph._from_masks(n, final), pinned
 
 
-def _read_edge_lines(chunk: str, n: int, width: int, masks: list[int]) -> Optional[int]:
+def _read_edge_lines(chunk: str, n: int, masks: list[int]) -> Optional[int]:
     """OR the edges of whole "u v\\n" lines into masks (bit v of masks[u]) and
     return the number of lines, or None if a line breaks the layout or holds
-    an id that is not in 1..n (at most width digits) or not less than the
-    other.  Its token lists die with the call, so one chunk's are held at once.
+    an id that is not in 1..n or not less than the other.  Its token lists
+    die with the call, so one chunk's are held at once.
 
     A chunk that ends in "\\n" and passes the translate check is lines of
     digits, one space, digits; the token count then finds an empty side
@@ -340,12 +320,11 @@ def _read_edge_lines(chunk: str, n: int, width: int, masks: list[int]) -> Option
     if len(tokens) != 2 * lines:
         return None
     distinct = set(tokens)
-    # "0" sorts before every other digit: the least token starts with it iff
-    # some id is 0 or has a leading zero; a token longer than n's exceeds it
-    if min(distinct)[0] == "0" or len(max(distinct, key=len)) > width:
+    try:
+        ids = dict(zip(distinct, map(int, distinct)))
+    except ValueError:  # more digits than int() reads
         return None
-    ids = dict(zip(distinct, map(int, distinct)))
-    if max(ids.values()) > n:
+    if min(ids.values()) < 1 or max(ids.values()) > n:
         return None
     values = list(map(ids.__getitem__, tokens))
     us, vs = values[::2], values[1::2]
@@ -357,13 +336,34 @@ def _read_edge_lines(chunk: str, n: int, width: int, masks: list[int]) -> Option
     return lines
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def format_pairs(masks: Sequence[int], arrow: str, sep: str) -> str:
+    """Every pair (u, v) with bit v-1 of masks[u] set, u >= 1, as
+    u + arrow + v in sorted order, joined by sep.
+
+    The ids come from one table of strings, and a vertex's partners are
+    selected from it by the binary digits of its mask, so no pair costs an
+    integer operation."""
+    names = [str(v) for v in range(1, len(masks))]
+    chunks = []
+    for u, heads in zip(names, masks[1:]):
+        if heads:
+            lead = u + arrow
+            flags = format(heads, "b")[::-1].encode().translate(_DIGIT_FLAGS)
+            chunks.append(lead + (sep + lead).join(compress(names, flags)))
+    return sep.join(chunks)
+
+
 def format_graph(g: Graph, clique: Optional[Iterable[int]] = None) -> str:
     """Render a graph (and optionally a pinned clique) in the graph file format."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    upper = [mask >> u << u for u, mask in enumerate(g.masks)]  # the edges (u, v) with u < v
+    edges = format_pairs(upper, " ", "\n")
+    text = f"{g.n} {sum(map(int.bit_count, upper))}\n" + (edges + "\n" if edges else "")
     if clique is not None:
-        lines.append("C: " + " ".join(str(v) for v in clique))
-    return "\n".join(lines) + "\n"
+        text += "C: " + " ".join(map(str, clique)) + "\n"
+    return text
 
 
 def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterable[int]) -> SplitPartition:

@@ -61,27 +61,35 @@ class BinaryMatrix:
         return frozenset(r + 1 for r in range(self.m) if (mask >> r) & 1)
 
 
-def data_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based physical line number, stripped line) of every line that is
-    neither blank nor a "#" comment."""
-    numbered = ((line_no, raw.strip()) for line_no, raw in enumerate(text.splitlines(), start=1))
-    return [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
+class GraphFormatError(ValueError):
+    """Malformed graph, orientation or matrix text; carries the 1-based line number."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
 
 
 def read_header(text: str, names: str) -> tuple[int, int, list[tuple[int, str]]]:
-    """The two integers of a text's header line, named by names (such as
-    'n m') in its error message, and the data lines after it."""
-    lines = data_lines(text)
+    """The two nonnegative integers of a text's header line, named by names
+    (such as 'n m') in its error message, and the data lines after it: the
+    (1-based physical line number, stripped line) of every line that is
+    neither blank nor a "#" comment."""
+    lines = [(line_no, line) for line_no, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and line[0] != "#"]
     if not lines:
-        raise ValueError("line 1: empty input")
+        raise GraphFormatError(1, "empty input")
     head_no, head = lines[0]
     parts = head.split()
     if len(parts) != 2:
-        raise ValueError(f"line {head_no}: expected header '{names}'")
+        raise GraphFormatError(head_no, f"expected header '{names}'")
     try:
-        return int(parts[0]), int(parts[1]), lines[1:]
+        a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"line {head_no}: non-integer header") from None
+        raise GraphFormatError(head_no, "non-integer header") from None
+    if a < 0 or b < 0:
+        raise GraphFormatError(head_no, "negative header value")
+    del lines[0]
+    return a, b, lines
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
@@ -94,7 +102,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     rows = []
     for line_no, ln in lines:
         if len(ln) != n or any(ch not in "01" for ch in ln):
-            raise ValueError(f"line {line_no}: expected {n} characters over 0/1")
+            raise GraphFormatError(line_no, f"expected {n} characters over 0/1")
         rows.append([int(ch) for ch in ln])
     if m == 0:
         return BinaryMatrix(0, n, tuple(0 for _ in range(n)))

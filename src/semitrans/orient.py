@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Optional, Sequence
 
-from .graphs import Graph, bits
-from .matrices import SizeGuardError, read_header
+from .graphs import Graph, bits, format_pairs
+from .matrices import GraphFormatError, SizeGuardError, read_header
 
 
 @dataclass(frozen=True, init=False)
@@ -426,46 +425,25 @@ def parse_orientation(text: str) -> Orientation:
     for line_no, ln in lines:
         toks = ln.replace(">", " > ").split()
         if len(toks) != 3 or toks[1] != ">":
-            raise ValueError(f"line {line_no}: expected 'u > v'")
+            raise GraphFormatError(line_no, "expected 'u > v'")
         try:
             u, v = int(toks[0]), int(toks[2])
         except ValueError:
-            raise ValueError(f"line {line_no}: non-integer vertex id") from None
+            raise GraphFormatError(line_no, "non-integer vertex id") from None
         if u == v:
-            raise ValueError(f"line {line_no}: self-loop at {u}")
+            raise GraphFormatError(line_no, f"self-loop at {u}")
         if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"line {line_no}: vertex out of range 1..{n}")
+            raise GraphFormatError(line_no, f"vertex out of range 1..{n}")
         if masks[u] >> (v - 1) & 1:
-            raise ValueError(f"line {line_no}: edge {(min(u, v), max(u, v))} oriented twice")
+            raise GraphFormatError(line_no, f"edge {(min(u, v), max(u, v))} oriented twice")
         masks[u] |= 1 << (v - 1)
         masks[v] |= 1 << (u - 1)
         out[u] |= 1 << (v - 1)
-    if n < 0:  # only reachable with m == 0: any arc line fails the range check
-        raise ValueError("vertex count must be nonnegative")
     # every arc is an edge of the graph built from the arcs, oriented once
     return Orientation._from_masks(Graph._from_masks(n, tuple(masks)), tuple(out))
 
 
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def format_arcs(o: Orientation, arrow: str, sep: str) -> str:
-    """Every arc as u + arrow + v, in sorted order, joined by sep.
-
-    The ids come from one table of strings, and a vertex's heads are selected
-    from it by the binary digits of its out-mask, so no arc costs an integer
-    operation."""
-    names = [str(v) for v in o.graph.vertices()]
-    chunks = []
-    for u, heads in zip(names, o.out[1:]):
-        if heads:
-            lead = u + arrow
-            flags = format(heads, "b")[::-1].encode().translate(_DIGIT_FLAGS)
-            chunks.append(lead + (sep + lead).join(compress(names, flags)))
-    return sep.join(chunks)
-
-
 def format_orientation(o: Orientation) -> str:
     head = f"{o.graph.n} {sum(m.bit_count() for m in o.out)}\n"
-    arcs = format_arcs(o, " > ", "\n")
+    arcs = format_pairs(o.out, " > ", "\n")
     return head + arcs + "\n" if arcs else head

@@ -19,9 +19,9 @@ from itertools import combinations, permutations
 from operator import and_
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, SplitPartition, bits, neighborhood_matrix, split_partition, vertex_mask
+from .graphs import Graph, SplitPartition, bits, format_pairs, neighborhood_matrix, split_partition, vertex_mask
 from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
-from .orient import Orientation, find_shortcut, format_arcs
+from .orient import Orientation, find_shortcut
 from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 
 
@@ -34,10 +34,6 @@ class Labeling:
     """Bijection clique vertices -> positions 1..k, stored as the position order."""
 
     order: tuple[int, ...]  # order[p-1] = vertex at position p
-
-    @property
-    def k(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -429,7 +425,7 @@ def render_decision(d: Decision, machine: bool = False) -> str:
         if d.semi_transitive:
             lines.append("labeling=" + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
             if d.orientation is not None:
-                lines.append("orientation=" + format_arcs(d.orientation, ">", " "))
+                lines.append("orientation=" + format_pairs(d.orientation.out, ">", " "))
             lines.append(f"verified={'true' if d.verified else 'false'}")
         else:
             lines.append(f"witness={d.refutation.kind}")
@@ -441,7 +437,7 @@ def render_decision(d: Decision, machine: bool = False) -> str:
         lines.append("labeling: " + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
         if d.orientation is not None:
             lines.append("orientation:")
-            arcs = format_arcs(d.orientation, " > ", "\n")
+            arcs = format_pairs(d.orientation.out, " > ", "\n")
             if arcs:
                 lines.append(arcs)
         return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ int() accepts (leading zeros, "+", "_", Unicode digits) or rejects, comments
 and "C:" lines glued to their content, lines of one or three tokens, and bad
 header or edge values.  `canonical_graph_text` starts from the exact layout
 `format_graph` writes, the one the parser reads in bulk, and applies at most
-one edit that keeps that layout nearly intact.
+one edit that keeps that layout nearly intact.  `NEGATIVE_HEADERS` and
+`line_number` serve the error tests of all three text formats.
 """
 
 from __future__ import annotations
@@ -98,7 +99,23 @@ CANONICAL_EDITS = (
     "none", "swap", "self-loop", "zero", "above-n", "leading-zero", "repeat", "m+1", "m-1",
     "no-final-newline", "trailing-space", "crlf", "tab", "regroup",
     "pin-mid", "pin-twice", "pin-repeat", "pin-range", "pin-empty",
+    "header-respelled", "pin-respelled",
 )
+
+# header texts every reader rejects, orientation and matrix ones included
+NEGATIVE_HEADERS = {
+    "-2 3\n": "line 1: negative header value",
+    "1 -1\n": "line 1: negative header value",
+    "-1 0\n": "line 1: negative header value",
+    "0 -1\n": "line 1: negative header value",
+    "# c\n0 -1\n": "line 2: negative header value",
+}
+
+
+def line_number(message: str):
+    """The N of an error message "line N: ...", or None for any other message."""
+    head, sep, _ = message.partition(": ")
+    return int(head[5:]) if sep and head.startswith("line ") else None
 
 
 def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
@@ -107,8 +124,9 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
     one edit from CANONICAL_EDITS applied; "none" leaves it unedited.  An
     edit that needs an edge line or a "C:" line the file lacks adds one.
     "regroup" moves one space or line end past the digits beside it, which
-    keeps the order of spaces and line ends.  Any edit but "none" may also
-    drop the final line end."""
+    keeps the order of spaces and line ends.  "header-respelled" and
+    "pin-respelled" give one header or "C:" id a leading zero or a "+".  Any
+    edit but "none" may also drop the final line end."""
     n = rng.randint(1 if edit.startswith("pin") else 0, max_n)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
     lines = [[str(u), str(v)] for u, v in pairs]
@@ -141,12 +159,19 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
         pins.append(rng.choice(pins))
     elif edit == "pin-range":
         pins[rng.randrange(len(pins))] = rng.choice(("0", str(n + 1)))
+    elif edit == "pin-respelled":
+        spot = rng.randrange(len(pins))
+        pins[spot] = rng.choice("0+") + pins[spot]
+    header = [str(n), str(m)]
+    if edit == "header-respelled":
+        side = rng.randrange(2)
+        header[side] = rng.choice("0+") + header[side]
     if pins is not None:
         pin_line = "C: " + " ".join(pins) + "\n"
         body.insert(rng.randint(0, len(body)) if edit == "pin-mid" else len(body), pin_line)
         if edit == "pin-twice":
             body.insert(rng.randint(0, len(body)), pin_line)
-    text = f"{n} {m}\n" + "".join(body)
+    text = " ".join(header) + "\n" + "".join(body)
     line_ends = [idx for idx, ch in enumerate(text) if ch == "\n"]
     spaces = [idx for idx, ch in enumerate(text) if ch == " "]
     if edit == "trailing-space":

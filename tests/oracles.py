@@ -174,6 +174,16 @@ def reference_parse_graph(text: str):
     return Graph(n, edges), pinned
 
 
+def format_graph_reference(g: Graph, clique=None) -> str:
+    """The graph file text, written the plain way: the header, every edge of
+    the sorted edge set on its own line, then the optional "C:" line."""
+    lines = [f"{g.n} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    if clique is not None:
+        lines.append("C: " + " ".join(str(v) for v in clique))
+    return "\n".join(lines) + "\n"
+
+
 def consecutive_ones_reference(mtx: BinaryMatrix):
     """Certificate of the consecutive-ones PQ-tree pipeline, in its plain
     form: columns stably sorted by decreasing number of ones, vacuous ones

@@ -20,6 +20,7 @@ from semitrans import (
 )
 from semitrans.pqtree import PQTree
 
+from graph_texts import NEGATIVE_HEADERS, line_number
 from oracles import circular_ones_reference, consecutive_ones_reference
 from strategies import binary_matrices
 
@@ -582,8 +583,10 @@ def test_parse_matrix_errors():
         "\n\n2\n": "line 3: expected header 'm n'",
         "1 2\n# c\n101\n": "line 3: expected 2 characters over 0/1",
         "2 2\n10\n": "expected 2 matrix rows, found 1",
+        **NEGATIVE_HEADERS,
     }
     for text, message in cases.items():
         with pytest.raises(ValueError) as exc:
             parse_matrix(text)
         assert str(exc.value) == message, text
+        assert getattr(exc.value, "line_no", None) == line_number(message), text

@@ -30,6 +30,7 @@ from oracles import (
     random_graph,
     shortcut_by_path_enumeration,
 )
+from graph_texts import NEGATIVE_HEADERS, line_number
 from strategies import graphs
 
 
@@ -365,8 +366,10 @@ def test_parse_orientation_errors():
         "2 1\n\n1 > 3\n": "line 3: vertex out of range 1..2",
         "3 2\n1 > 2\n# c\n2 > 1\n": "line 4: edge (1, 2) oriented twice",
         "2 2\n1 > 2\n": "expected 2 arcs, found 1",
+        **NEGATIVE_HEADERS,
     }
     for text, message in cases.items():
         with pytest.raises(ValueError) as exc:
             parse_orientation(text)
         assert str(exc.value) == message, text
+        assert getattr(exc.value, "line_no", None) == line_number(message), text
