@@ -12,7 +12,6 @@ from .graphs import (
     induced_subgraph,
     neighborhood_matrix,
     normalize_partition,
-    parse_graph,
     parse_graph_pinned,
     split_partition,
     twin_reduce,
@@ -23,7 +22,6 @@ from .matrices import (
     check_c1p_under_perm,
     check_circ_under_perm,
     enumerate_valid_perms,
-    format_matrix,
     has_circular_ones,
     has_consecutive_ones,
     parse_matrix,
@@ -39,7 +37,6 @@ from .orient import (
     oracle_semi_transitive,
     orient_by_order,
     parse_orientation,
-    reverse_orientation,
 )
 from .recognition import (
     Decision,

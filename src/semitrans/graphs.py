@@ -66,25 +66,10 @@ class Graph:
         object.__setattr__(g, "masks", masks)
         return g
 
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            norm.add((u, v) if u < v else (v, u))
-        return Graph(n, norm)
-
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Every edge as (u, v) with u < v; built on first use and cached."""
         return frozenset((u, u + w) for u in self.vertices() for w in bits(self.masks[u] >> u))
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.masks[v]))
-
-    def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return 1 <= u <= self.n and 1 <= v and bool(self.masks[u] >> (v - 1) & 1)
@@ -160,11 +145,6 @@ class TwinReduction:
     graph: Graph
     kept: tuple[int, ...]                      # kept[i] = original id of new vertex i+1
     removals: tuple[tuple[int, int], ...]      # (kept original id, removed original id)
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse the plain graph file format; raises GraphFormatError on bad input."""
-    return parse_graph_pinned(text)[0]
 
 
 def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:

@@ -56,10 +56,6 @@ class BinaryMatrix:
     def rows(self) -> list[list[int]]:
         return [[(c >> r) & 1 for c in self.columns] for r in range(self.m)]
 
-    def column_ones(self, col: int) -> frozenset[int]:
-        mask = self.columns[col - 1]
-        return frozenset(r + 1 for r in range(self.m) if (mask >> r) & 1)
-
 
 class GraphFormatError(ValueError):
     """Malformed graph, orientation or matrix text; carries the 1-based line number."""
@@ -107,12 +103,6 @@ def parse_matrix(text: str) -> BinaryMatrix:
     if m == 0:
         return BinaryMatrix(0, n, tuple(0 for _ in range(n)))
     return BinaryMatrix.from_rows(rows)
-
-
-def format_matrix(mtx: BinaryMatrix) -> str:
-    out = [f"{mtx.m} {mtx.n}"]
-    out.extend("".join(str(x) for x in row) for row in mtx.rows())
-    return "\n".join(out) + "\n"
 
 
 def format_permutation(perm: Optional[tuple[int, ...]]) -> str:

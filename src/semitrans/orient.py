@@ -182,12 +182,6 @@ def orient_by_order(g: Graph, order: Sequence[int]) -> Orientation:
     return Orientation._from_masks(g, tuple(out))
 
 
-def topological_order(o: Orientation) -> Optional[list[int]]:
-    """A topological order of the vertices, or None if there is a directed cycle."""
-    topo = o._topo
-    return None if topo is None else list(topo[0])
-
-
 def is_acyclic(o: Orientation) -> bool:
     return o._topo is not None
 
@@ -276,10 +270,6 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
 
 def is_semi_transitive_orientation(o: Orientation) -> bool:
     return is_acyclic(o) and find_shortcut(o) is None
-
-
-def reverse_orientation(o: Orientation) -> Orientation:
-    return Orientation(o.graph, frozenset((v, u) for u, v in o.arcs))
 
 
 def _search_semi_transitive_order(g: Graph) -> Optional[list[int]]:

@@ -9,16 +9,18 @@ at each end, which opens into its subtrees, empty side outermost.  The partial
 nodes below the root form a chain (each has at most one partial child), walked
 iteratively from the top, so the walk needs no call stack as deep as the tree.
 
-Every node keeps a parent pointer and its leaf count, and the tree keeps a
-row -> leaf table, so a reduction touches only what the column touches: it
-walks up from the leaves of the column's rows, stopping at the first node
-already reached, and sums pertinent counts bottom-up over the nodes it
-reached (Booth and Lueker's bubble-up, J. Comput. Syst. Sci. 13, 1976).
-Nodes it never reached are empty.  One reduction costs the union of the
-pertinent leaves' root paths plus the children lists the templates read and
-rewrite; that is not the pertinent subtree alone, so nested prefixes (each
-column's leaves sit below a chain of its predecessors) still cost Theta(k^2)
-in total.
+Every node keeps the rows of the leaves below it as one bitmask, the OR of
+its children's, so labels are mask tests against the column: a node that
+shares no row with it is empty, one whose rows it holds all of is full, any
+other is partial.  A reduction walks down from the root, at each node into
+the first child that meets the column, and stops where that child does not
+hold the whole column: that node is the pertinent root.  Nodes point only at
+their children, so a tree holds no reference cycle and is freed as soon as it
+is dropped.  One reduction costs the children it scans on the path from the
+root to the pertinent root plus the children lists the templates read and
+rewrite; a deep pertinent root pays for its whole path, so nested prefixes
+(each column's rows below a chain of its predecessors) cost Theta(k^2) in
+total.
 """
 
 from __future__ import annotations
@@ -34,18 +36,18 @@ _EMPTY, _FULL, _PARTIAL = 0, 1, 2
 
 
 class _Node:
-    """A tree node.  A new internal node reads its children's leaf counts but
-    leaves their parent pointers alone: a reduction may still fail after
-    building it, and a failed reduction must not change the tree."""
+    """A tree node.  rows has bit r-1 set for each leaf row r below it; it is
+    fixed at construction, since a reduction rewrites children lists only
+    where the leaf set stays the same."""
 
-    __slots__ = ("kind", "children", "row", "parent", "leaves")
+    __slots__ = ("kind", "children", "row", "rows")
 
     def __init__(self, kind: int, children: list["_Node"] | None = None, row: int = 0):
         self.kind = kind
         self.children = children if children is not None else []
         self.row = row
-        self.parent: _Node | None = None
-        self.leaves = sum(ch.leaves for ch in self.children) if children else 1
+        # children hold disjoint rows, so the sum of their masks is their OR
+        self.rows = sum(ch.rows for ch in self.children) if children else 1 << (row - 1)
 
 
 def _make_p(nodes: list[_Node]) -> _Node:
@@ -57,19 +59,6 @@ def _make_q(items: list[_Node]) -> _Node:
     return items[0] if len(items) == 1 else _Node(_Q, items)
 
 
-def _adopt(top: _Node):
-    """Point the children of top, and of every node built under it in this
-    reduction, back at their parent.  Built nodes are the ones whose parent
-    is still unset; the tree root is never a child."""
-    stack = [top]
-    while stack:
-        node = stack.pop()
-        for ch in node.children:
-            if ch.parent is None:
-                stack.append(ch)
-            ch.parent = node
-
-
 class PQTree:
     """Certificate engine: feed row subsets via reduce(), read a frontier out."""
 
@@ -77,15 +66,9 @@ class PQTree:
         if m < 0:
             raise ValueError("row count must be nonnegative")
         self.m = m
-        self._leaf = [_Node(_LEAF, row=r) for r in range(m + 1)]  # row -> leaf; entry 0 unused
-        if m == 0:
-            self.root: _Node | None = None
-        elif m == 1:
-            self.root = self._leaf[1]
-        else:
-            self.root = _Node(_P, self._leaf[1:])
-            _adopt(self.root)
-        self._pert: dict[_Node, int] = {}
+        leaves = [_Node(_LEAF, row=r) for r in range(1, m + 1)]
+        self.root: _Node | None = _make_p(leaves) if leaves else None
+        self._mask = 0  # the column of the reduction in progress
 
     def reduce(self, mask: int) -> bool:
         """Constrain the tree so rows set in mask stay consecutive.
@@ -100,15 +83,22 @@ class PQTree:
         size = mask.bit_count()
         if size <= 1 or size >= self.m:
             return True
-        node = self._bubble(mask, size)
-        if size == node.leaves:
+        parent, node = None, self.root
+        while True:  # down to the pertinent root, the deepest node holding all of mask
+            for child in node.children:
+                if child.rows & mask:
+                    break
+            if child.rows & mask != mask:
+                break
+            parent, node = node, child
+        if node.rows == mask:
             return True
+        self._mask = mask
         try:
             self._apply_root(node)
         except _Fail:
             return False
-        _adopt(node)
-        self._normalize(node)
+        self._normalize(node, parent)
         return True
 
     def frontier(self) -> tuple[int, ...]:
@@ -127,47 +117,11 @@ class PQTree:
 
     # -- internals --------------------------------------------------------
 
-    def _bubble(self, mask: int, size: int) -> _Node:
-        """Fill the pertinent counts of the nodes above the rows set in mask
-        and return the pertinent root: the deepest node holding all size of
-        them.  Counts flow up a child at a time once every reached child of
-        a node is summed, so a node is final before its parent and the first
-        node to reach size is the deepest."""
-        pert: dict[_Node, int] = {}
-        waiting: dict[_Node, int] = {}  # reached internal node -> reached children not yet summed
-        ready: list[_Node] = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            leaf = self._leaf[low.bit_length()]
-            pert[leaf] = 1
-            ready.append(leaf)
-            node = leaf.parent
-            while node is not None:
-                if node in waiting:
-                    waiting[node] += 1
-                    break
-                waiting[node] = 1
-                node = node.parent
-        self._pert = pert
-        while True:
-            node = ready.pop()
-            count = pert[node]
-            if count == size:
-                return node
-            parent = node.parent
-            pert[parent] = pert.get(parent, 0) + count
-            waiting[parent] -= 1
-            if not waiting[parent]:
-                ready.append(parent)
-
     def _label(self, node: _Node) -> int:
-        c = self._pert.get(node, 0)
-        if c == 0:
+        hit = node.rows & self._mask
+        if not hit:
             return _EMPTY
-        if c == node.leaves:
-            return _FULL
-        return _PARTIAL
+        return _FULL if hit == node.rows else _PARTIAL
 
     def _split(self, node: _Node) -> tuple[list[_Node], list[_Node], list[_Node]]:
         """Children of node grouped as (empty, full, partial), each in order."""
@@ -216,8 +170,6 @@ class PQTree:
         """The one root template: the non-empty children form a run, full
         inside, with at most one partial child at each end.  A P root puts its
         run, the full children as one P-node, in a Q-node after the empties."""
-        if node.kind == _LEAF:
-            return
         if node.kind == _P:
             empty, full, partial = self._split(node)
             if len(partial) > 2:
@@ -225,15 +177,15 @@ class PQTree:
             run = partial[:1] + ([_make_p(full)] if full else []) + partial[1:]
             node.children = empty + [_make_q(self._open_run(run))]
             return
-        children, pert = node.children, self._pert
+        children, mask = node.children, self._mask
         first, last = 0, len(children)
-        while children[first] not in pert:
+        while not children[first].rows & mask:
             first += 1
-        while children[last - 1] not in pert:
+        while not children[last - 1].rows & mask:
             last -= 1
         run = children[first:last]
         for ch in run[1:-1]:
-            if pert.get(ch) != ch.leaves:
+            if ch.rows & mask != ch.rows:
                 raise _Fail
         node.children = children[:first] + self._open_run(run) + children[last:]
 
@@ -247,13 +199,11 @@ class PQTree:
             run = self._partial_items(run[0]) + run[1:]
         return run
 
-    def _normalize(self, node: _Node):
+    def _normalize(self, node: _Node, parent: _Node | None):
         """Splice out a root-template node left with a single child."""
-        if node.kind == _LEAF or len(node.children) != 1:
+        if len(node.children) != 1:
             return
-        child = node.children[0]
-        parent = child.parent = node.parent
         if parent is not None:
-            parent.children[parent.children.index(node)] = child
+            parent.children[parent.children.index(node)] = node.children[0]
         else:
-            self.root = child
+            self.root = node.children[0]

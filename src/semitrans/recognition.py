@@ -14,9 +14,7 @@ seven-vertex configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, permutations
-from operator import and_
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, bits, format_pairs, neighborhood_matrix, split_partition, vertex_mask
@@ -396,16 +394,21 @@ def _first_forbidden(g: Graph, independent: Sequence[int]) -> Optional[tuple[str
     masks = g.masks
     universe = (1 << g.n) - 1
     for triple in combinations(sorted(independent), 3):
-        others = universe & ~vertex_mask(triple)
-        for tag, req in forbidden_types(*triple).items():
-            # pool i: the vertices outside the triple whose neighborhood in it is req[i]
-            pools = [reduce(and_, (masks[x] if x in r else ~masks[x] for x in triple), others) for r in req]
+        classes = [universe & ~vertex_mask(triple)]
+        for x in triple:  # classes[s]: the other vertices adjacent to triple[i] exactly for the bits i of s
+            classes = [cl & ~masks[x] for cl in classes] + [cl & masks[x] for cl in classes]
+        for tag, req in _CASE_CLASSES.items():
+            pools = [classes[s] for s in req]
             if not all(pools):
                 continue
             quad = _adjacent_quad(masks, pools)
             if quad is not None:
                 return f"case-{tag}", tuple(sorted(triple + quad))
     return None
+
+
+# per case, the adjacency class of each quadruple vertex: bit i set for adjacency to triple[i]
+_CASE_CLASSES = {tag: [vertex_mask(r) for r in req] for tag, req in forbidden_types(1, 2, 3).items()}
 
 
 def _adjacent_quad(masks: Sequence[int], pools: list[int]) -> Optional[tuple[int, ...]]:

@@ -2,7 +2,7 @@ import pytest
 
 from semitrans.cli import main
 from semitrans.generate import GenSpec, forbidden_configuration, generate
-from semitrans.graphs import format_graph, parse_graph, split_partition
+from semitrans.graphs import format_graph, parse_graph_pinned, split_partition
 from semitrans.orient import Orientation, parse_orientation
 from semitrans.recognition import InternalConsistencyError, check_small_I
 
@@ -97,7 +97,7 @@ def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
         # raises it, both when recognize calls it and when called directly
         monkeypatch.setattr("semitrans.recognition.decide_labeling", lambda k, masks: None)
         with pytest.raises(InternalConsistencyError):
-            check_small_I(split_partition(parse_graph(PATH_GRAPH)))
+            check_small_I(split_partition(parse_graph_pinned(PATH_GRAPH)[0]))
         expected = "internal error: InternalConsistencyError"
     elif exc is None:
         # the verifier raises ValueError on a cycle; recognize must report a

@@ -12,7 +12,6 @@ from semitrans import (
     check_c1p_under_perm,
     check_circ_under_perm,
     enumerate_valid_perms,
-    format_matrix,
     has_circular_ones,
     has_consecutive_ones,
     parse_matrix,
@@ -460,24 +459,24 @@ def test_pqtree_vacuous_masks():
 def _pqtree_fields(tree):
     """Check what a reduction keeps on the tree and return every field.
 
-    Every child points back at its node and the root at nothing, every cached
-    leaf count equals a recount, and the row -> leaf table names the tree's
-    leaves.  The result lists each node's identity and fields, root first.
+    Every leaf's rows mask is its own row's bit, every internal node's is the
+    OR of its children's, and the leaves' rows are a permutation of 1..m.
+    The result lists each node's identity and fields, root first.
     """
-    assert tree.root.parent is None
     order = [tree.root]
     for node in order:  # grows while read: breadth-first
-        for ch in node.children:
-            assert ch.parent is node
-            order.append(ch)
-    count = {}
-    for node in reversed(order):
-        count[id(node)] = sum(count[id(ch)] for ch in node.children) if node.children else 1
-        assert node.leaves == count[id(node)]
+        order.extend(node.children)
+    for node in order:
+        if node.children:
+            union = 0
+            for ch in node.children:
+                union |= ch.rows
+            assert node.rows == union
+        else:
+            assert node.rows == 1 << (node.row - 1)
     leaves = [node for node in order if not node.children]
     assert sorted(leaf.row for leaf in leaves) == list(range(1, tree.m + 1))
-    assert all(tree._leaf[leaf.row] is leaf for leaf in leaves)
-    return [(id(n), n.kind, n.row, id(n.parent), n.leaves, [id(ch) for ch in n.children]) for n in order]
+    return [(id(n), n.kind, n.row, n.rows, [id(ch) for ch in n.children]) for n in order]
 
 
 def _reduce_checked(tree, mask):
@@ -561,10 +560,12 @@ def test_binary_matrix_accepts_masks_within_its_rows():
 
 # -- matrix file format ----------------------------------------------------------
 
-def test_matrix_round_trip():
-    # format_matrix writes an m x 0 matrix as its header plus m empty lines
-    for mtx in (from_rows([[1, 0, 1], [0, 1, 1]]), BinaryMatrix(2, 0, ()), BinaryMatrix(0, 3, (0, 0, 0))):
-        assert parse_matrix(format_matrix(mtx)) == mtx
+def test_parse_matrix_shapes():
+    # an m x 0 matrix is its header plus m empty lines
+    texts = {"2 3\n101\n011\n": from_rows([[1, 0, 1], [0, 1, 1]]), "2 0\n\n\n": BinaryMatrix(2, 0, ()),
+             "0 3\n": BinaryMatrix(0, 3, (0, 0, 0))}
+    for text, mtx in texts.items():
+        assert parse_matrix(text) == mtx
 
 
 def test_parse_matrix_errors():

@@ -1,4 +1,6 @@
+import gc
 import random
+from graphlib import TopologicalSorter
 from itertools import combinations, permutations
 
 import pytest
@@ -31,8 +33,7 @@ from semitrans import (
     validate_matrix_form,
 )
 from semitrans.generate import GenSpec, forbidden_configuration, generate, split_graph_from_types
-from semitrans.graphs import format_graph, normalize_partition, parse_graph_pinned
-from semitrans.orient import topological_order
+from semitrans.graphs import bits, format_graph, normalize_partition, parse_graph_pinned
 
 from oracles import assert_shortcut_witness, forbidden_subgraph_reference
 from strategies import split_partitions
@@ -210,7 +211,7 @@ def test_construct_interval_vertices_are_sources():
     p = interval_system()
     o = construct_orientation(p, Labeling(p.clique))
     for v in p.independent:
-        for u in p.graph.neighbors(v):
+        for u in bits(p.graph.masks[v]):
             assert o.has_arc(v, u)
     assert is_semi_transitive_orientation(o)
 
@@ -231,8 +232,6 @@ def test_construct_rejects_invalid_labeling():
 def test_reversed_construction_also_semi_transitive():
     # reversing a constructed orientation turns every interval source into a
     # sink, which is the other legal attachment; both must verify
-    from semitrans import reverse_orientation
-
     rng = random.Random(71)
     for _ in range(40):
         k, t = rng.randint(2, 6), rng.randint(1, 3)
@@ -240,7 +239,8 @@ def test_reversed_construction_also_semi_transitive():
         p = split_graph_from_types(types, t)
         d = recognize(p)
         if d.semi_transitive:
-            assert is_semi_transitive_orientation(reverse_orientation(d.orientation))
+            reverse = Orientation(p.graph, frozenset((v, u) for u, v in d.orientation.arcs))
+            assert is_semi_transitive_orientation(reverse)
 
 
 # -- recognize -----------------------------------------------------------------
@@ -293,6 +293,30 @@ def test_recognize_no_verify_skips_orientation():
 def test_decide_labeling_empty_cases():
     assert decide_labeling(0, []) == ()
     assert decide_labeling(3, []) is not None
+
+
+def test_decisions_leave_no_cyclic_garbage():
+    # a PQ tree holds no reference cycle, so every decision's tree is freed
+    # when it is dropped; under DEBUG_SAVEALL the cyclic collector keeps
+    # whatever it would have freed in gc.garbage
+    from semitrans.generate import planted_yes_masks, stream_for_instance
+    from semitrans.pqtree import _Node
+
+    yes = [planted_yes_masks(stream_for_instance(16, i), 40, 48) for i in range(4)]
+    no = next(generate(GenSpec(k=40, t=20, seed=16, mode="planted-no")))
+    no_masks = neighborhood_matrix(no).columns
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert all(decide_labeling(40, masks) is not None for masks in yes)
+        assert decide_labeling(no.k, no_masks) is None
+        gc.collect()
+        nodes = sum(isinstance(obj, _Node) for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert nodes == 0
 
 
 def test_recognize_empty_graph():
@@ -500,7 +524,10 @@ def test_verified_yes_and_flip_witness_at_benchmark_sizes():
         d = recognize(p)
         assert d.semi_transitive and d.verified
         arcs = d.orientation.arcs
-        order = topological_order(d.orientation)
+        preds = {v: set() for v in p.graph.vertices()}
+        for u, v in arcs:
+            preds[v].add(u)
+        order = list(TopologicalSorter(preds).static_order())
         for u, v in zip(order, order[1:]):
             if (u, v) not in arcs:
                 continue
@@ -568,12 +595,12 @@ def _arcs_by_the_labeling_rule(p, labeling):
     pos = {u: i for i, u in enumerate(labeling.order, start=1)}
     arcs = {(u, v) for u in p.clique for v in p.clique if pos[u] < pos[v]}
     for v in p.independent:
-        ps = {pos[u] for u in p.graph.neighbors(v)}
+        ps = {pos[u] for u in bits(p.graph.masks[v])}
         wrapped = 1 in ps and p.k in ps and len(ps) < p.k
         prefix = 0
         while prefix + 1 in ps:
             prefix += 1
-        for u in p.graph.neighbors(v):
+        for u in bits(p.graph.masks[v]):
             arcs.add((u, v) if wrapped and pos[u] <= prefix else (v, u))
     return arcs
 
