@@ -20,7 +20,8 @@ files must be identical.  Then each tree runs, in its own interpreter:
   one column: random, duplicate-heavy, planted interval and arc systems, and
   planted NO cases (a cycle of pairs, or a triangle of pairs among four or
   more rows, inside an interval system), so both PQ-tree commands run full
-  reductions and failing ones;
+  reductions and failing ones; and on the empty shapes `0 3`, `2 0` (its
+  two rows blank) and `0 0`;
 - `recognize` on seeded mutated graph files (`tests/graph_texts.py`, the
   generator of the parser's differential test): odd line ends and
   whitespace, respelled and non-integer ids, comments and `C:` lines glued
@@ -88,6 +89,7 @@ BAD_MATRICES = (
     *(_BEFORE + header + "\r\n" for header in NEGATIVE_HEADERS),
     "2 2\r\n" + _BEFORE + "10\r\n", "1 2\r\n" + _BEFORE + "1x\r\n", "1 2\r\n" + _BEFORE + "101\r\n",
 )
+EMPTY_MATRICES = ("0 3\n", "2 0\n\n\n", "0 0\n")
 GEN_ARGS = (
     ("--k", "6", "--t", "4", "--seed", "3", "--count", "3"),
     ("--k", "8", "--t", "5", "--mode", "planted-yes", "--seed", "1", "--count", "3"),
@@ -351,6 +353,10 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
     matrix_dir = tmp / "matrices"
     matrix_dir.mkdir()
     argvs += [[cmd, str(path)] for path in _matrix_files(seeds, matrix_dir) for cmd in ("c1p", "circ1p")]
+    for idx, text in enumerate(EMPTY_MATRICES):
+        path = matrix_dir / f"empty{idx}.matrix"
+        path.write_text(text)
+        argvs += [[cmd, str(path)] for cmd in ("c1p", "circ1p")]
     orient_dir = tmp / "orient"
     orient_dir.mkdir()
     orientations = _random_orientation_files(orient_dir)

@@ -59,7 +59,6 @@ from .recognition import (
     validate_matrix_form,
 )
 from .generate import (
-    FORBIDDEN_CASES,
     GenSpec,
     SplitMix64,
     forbidden_configuration,

@@ -10,6 +10,7 @@ an answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -166,6 +167,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semitrans",

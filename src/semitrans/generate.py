@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, SplitPartition, bits, normalize_partition, vertex_mask
 from .recognition import forbidden_types
@@ -243,9 +243,6 @@ def _canonical_key(p: SplitPartition):
         tuple(i_index[w] for w in bits(p.graph.masks[u] & imask)) for u in p.clique
     ))
     return (p.k, p.t, profile)
-
-
-FORBIDDEN_CASES = ("a", "b", "c")
 
 
 def forbidden_configuration(case: str) -> SplitPartition:

@@ -347,11 +347,10 @@ def format_graph(g: Graph, clique: Optional[Iterable[int]] = None) -> str:
 
 
 def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterable[int]) -> SplitPartition:
-    """Restore clique maximality by absorbing independent vertices adjacent to all of it.
+    """Restore clique maximality by moving into the clique the independent
+    vertex adjacent to all of it, if there is one.
 
-    The input must already satisfy the clique/independent invariants; vertices
-    are moved one at a time (smallest id first), rechecking after each move
-    since a move can disqualify other candidates.
+    The input must already satisfy the clique/independent invariants.
     """
     c = list(clique)
     i = sorted(independent)
@@ -359,17 +358,12 @@ def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterab
         raise ValueError("clique and independent set must partition the vertices")
     _check_sides(graph, c, i)
     cmask = vertex_mask(c)
-    masks = graph.masks
-    moved = True
-    while moved:
-        moved = False
-        for v in i:
-            if cmask & masks[v] == cmask:
-                c.append(v)
-                cmask |= 1 << (v - 1)
-                i.remove(v)
-                moved = True
-                break
+    # at most one vertex moves: a second one would have to be adjacent to the
+    # first, and both lie on the independent side that _check_sides has checked
+    v = next((v for v in i if cmask & graph.masks[v] == cmask), None)
+    if v is not None:
+        c.append(v)
+        i.remove(v)
     return SplitPartition(graph, tuple(c), tuple(i))
 
 

@@ -116,7 +116,6 @@ class BenchReport:
     rows: list                      # (k, t, median_seconds)
     slope_t: Optional[float]
     slope_k: Optional[float]
-    reps: int
 
     def render(self) -> str:
         lines = ["k t median_s"]
@@ -187,4 +186,4 @@ def bench(
             cells[(k, t)] = med
     slope_t = _mean_slope([[(t, cells[(k, t)]) for t in ts] for k in ks])
     slope_k = _mean_slope([[(k, cells[(k, t)]) for k in ks] for t in ts])
-    return BenchReport(rows=rows, slope_t=slope_t, slope_k=slope_k, reps=reps)
+    return BenchReport(rows=rows, slope_t=slope_t, slope_k=slope_k)

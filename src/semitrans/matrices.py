@@ -95,14 +95,14 @@ def parse_matrix(text: str) -> BinaryMatrix:
         return BinaryMatrix(m, 0, ())
     if len(lines) != m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines)}")
-    rows = []
-    for line_no, ln in lines:
+    cols = [0] * n
+    for r, (line_no, ln) in enumerate(lines):
         if len(ln) != n or any(ch not in "01" for ch in ln):
             raise GraphFormatError(line_no, f"expected {n} characters over 0/1")
-        rows.append([int(ch) for ch in ln])
-    if m == 0:
-        return BinaryMatrix(0, n, tuple(0 for _ in range(n)))
-    return BinaryMatrix.from_rows(rows)
+        for j, ch in enumerate(ln):
+            if ch == "1":
+                cols[j] |= 1 << r
+    return BinaryMatrix(m, n, tuple(cols))
 
 
 def format_permutation(perm: Optional[tuple[int, ...]]) -> str:

@@ -15,8 +15,9 @@ criterion is exact.
 
 The criterion is evaluated over the out-masks relabelled by position in a
 topological order, so that every arc points to a higher position.  An
-orientation built from a labeling comes with that order, proved topological
-by O(n) mask tests; any other orientation gets it from one depth-first pass.
+orientation built from a labeling follows a vertex order and comes with it,
+its windows checked against the out-masks by O(n) mask tests; any other
+orientation gets one from a depth-first pass.
 One sweep from the end of the order computes, for each vertex x, reach(x)
 (x included) and S(x): the union, over every a in reach(x), of the reach of
 B(a), the vertices a reaches that are neither a nor adjacent to it.  x
@@ -77,42 +78,31 @@ class Orientation:
     @classmethod
     def _from_windows(cls, graph: Graph, order: Sequence[int], windows: Sequence[tuple[int, int]],
                       clique: int) -> "Orientation":
-        """The orientation in which order[j] sends an arc to every vertex of
-        order[lo:hi], (lo, hi) = windows[j], that lies in the vertex mask
-        clique, or to all of them if order[j] lies in it.
+        """orient_by_order(graph, order), with its out-masks relabelled by
+        position in the order read off windows: order[j] has an arc to every
+        vertex of order[lo:hi], (lo, hi) = windows[j], that lies in the vertex
+        mask clique, or to all of them if order[j] lies in it.
 
-        Checked in O(n) mask operations, raising ValueError: order is a
-        permutation of the vertices; every out-mask lies in the vertex's
-        adjacency mask and misses the vertex and every vertex before it in
-        the order, which makes the order topological and orients no edge
-        twice; and there is one arc per edge.  The out-masks relabelled by
-        position in the order come from the same windows.
+        Acyclicity and one arc per edge hold by construction; each window is
+        checked against its vertex's out-mask, in O(n) mask operations in all,
+        raising ValueError on a mismatch.
         """
-        n, adj = graph.n, graph.masks
+        o = orient_by_order(graph, order)
         before = [0]  # before[j]: the vertices order[:j]
         inner = 0     # positions of clique vertices in the order
         for j, v in enumerate(order):
             before.append(before[-1] | 1 << (v - 1))
             if clique >> (v - 1) & 1:
                 inner |= 1 << j
-        if len(order) != n or before[-1] != (1 << n) - 1:
-            raise ValueError("order is not a permutation of the vertices")
-        out = [0] * (n + 1)
         fwd = []
-        for j, (v, (lo, hi)) in enumerate(zip(order, windows)):
+        for v, (lo, hi) in zip(order, windows):
             mask, span = before[hi] ^ before[lo], ((1 << hi) - 1) ^ ((1 << lo) - 1)
             if not clique >> (v - 1) & 1:
                 mask &= clique
                 span &= inner
-            if mask | adj[v] != adj[v]:
-                raise ValueError(f"vertex {v} has an arc that is not an edge of the base graph")
-            if mask & before[j + 1]:
-                raise ValueError(f"vertex {v} has an arc back to a vertex not after it in the order")
-            out[v] = mask
+            if mask != o.out[v]:
+                raise ValueError(f"the window of vertex {v} does not match its out-mask")
             fwd.append(span)
-        if 2 * sum(m.bit_count() for m in out) != sum(m.bit_count() for m in adj):
-            raise ValueError("some edges are missing a direction")
-        o = cls._from_masks(graph, tuple(out))
         o.__dict__["_topo"] = (list(order), fwd)
         return o
 

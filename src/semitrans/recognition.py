@@ -77,34 +77,11 @@ class Decision:
     verified: bool = False
 
 
-def classify_positions(k: int, positions: Sequence[int]) -> Optional[Shape]:
-    """Shape of a sorted position set in 1..k, or None if it is neither empty,
-    an interval, nor a prefix+suffix pair."""
-    if not positions:
-        return Shape("empty")
-    lo, hi = positions[0], positions[-1]
-    if hi - lo + 1 == len(positions):
-        return Shape("interval", lo, hi)
-    if lo != 1 or hi != k:
-        return None
-    prefix = 0
-    while prefix < len(positions) and positions[prefix] == prefix + 1:
-        prefix += 1
-    suffix = 0
-    while suffix < len(positions) and positions[-1 - suffix] == k - suffix:
-        suffix += 1
-    if prefix + suffix != len(positions):
-        return None
-    return Shape("wrapped", prefix, k - suffix + 1)
-
-
 def shape_of(p: SplitPartition, labeling: Labeling, v: int) -> Optional[Shape]:
     """Classify N(v) of an independent vertex under the labeling (None = violation)."""
     if v not in p.independent:
         raise ValueError(f"{v} is not an independent vertex of the partition")
-    position = {u: i for i, u in enumerate(labeling.order, start=1)}
-    positions = sorted(position[u] for u in bits(p.graph.masks[v]))
-    return classify_positions(p.k, positions)
+    return _labeling_shapes(p, labeling, neighborhood_matrix(p).columns)[p.independent.index(v)]
 
 
 def _pair_ok(u_shape: Shape, v_shape: Shape) -> Optional[int]:
@@ -226,10 +203,24 @@ def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> Optional[tuple
 
 def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Sequence[int]) -> list[Optional[Shape]]:
     """Shape of every neighborhood mask when clique rows are placed in row_order."""
-    pos_of_row = [0] * (k + 1)
-    for pos, r in enumerate(row_order, start=1):
-        pos_of_row[r] = pos
-    return [classify_positions(k, sorted(pos_of_row[r] for r in bits(mask))) for mask in neighborhood_masks]
+    place = [0] * (k + 1)  # place[r]: the position bit of row r, bit p-1 for position p
+    for pos, r in enumerate(row_order):
+        place[r] = 1 << pos
+    full = (1 << k) - 1
+    return [_shape(sum(map(place.__getitem__, bits(mask))), full) for mask in neighborhood_masks]
+
+
+def _shape(positions: int, full: int) -> Optional[Shape]:
+    """Shape of a position mask within full: empty, one run of ones, or one
+    run of zeros strictly inside (the ones wrap around); None otherwise."""
+    if not positions:
+        return Shape("empty")
+    if _ones_consecutive(positions):
+        return Shape("interval", (positions & -positions).bit_length(), positions.bit_length())
+    gap = full ^ positions
+    if _ones_consecutive(gap):  # positions is not one run, so it holds both ends of full
+        return Shape("wrapped", (gap & -gap).bit_length() - 1, gap.bit_length() + 1)
+    return None
 
 
 def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
@@ -240,11 +231,16 @@ def construct_orientation(p: SplitPartition, labeling: Labeling) -> Orientation:
     cycle through the clique tournament.  Interval vertices are uniformly made
     sources; empty ones stay isolated.
     """
-    shapes = _labeling_shapes(p, labeling, neighborhood_matrix(p).columns)
+    return _orient_labeling(p, labeling, _valid_shapes(p, labeling, neighborhood_matrix(p).columns))
+
+
+def _valid_shapes(p: SplitPartition, labeling: Labeling, masks: Sequence[int]) -> list[Shape]:
+    """The shapes of a valid labeling; ValueError naming the violations otherwise."""
+    shapes = _labeling_shapes(p, labeling, masks)
     found = tuple(_violations(shapes, p.independent))
     if found:
         raise ValueError(f"labeling does not satisfy the conditions: {found}")
-    return _orient_labeling(p, labeling, shapes)
+    return shapes
 
 
 def _orient_labeling(p: SplitPartition, labeling: Labeling, shapes: Sequence[Shape]) -> Orientation:
@@ -252,9 +248,10 @@ def _orient_labeling(p: SplitPartition, labeling: Labeling, shapes: Sequence[Sha
 
     Its topological order lists the interval and empty independent vertices,
     then the clique by position, each wrapped vertex right after the end of
-    its prefix.  Every out-set is a window of that order: a clique vertex
-    feeds everything after it, an independent vertex the clique vertices of
-    its interval or of its suffix.  O(k + t) mask operations in all.
+    its prefix.  The orientation follows that order, and every out-set is a
+    window of it: a clique vertex feeds everything after it, an independent
+    vertex the clique vertices of its interval or of its suffix.  O(k + t)
+    mask operations in all.
     """
     shape = dict(zip(p.independent, shapes))
     after = [[] for _ in range(p.k + 1)]  # after[i]: wrapped vertices whose prefix ends at position i
@@ -283,9 +280,10 @@ def _orient_labeling(p: SplitPartition, labeling: Labeling, shapes: Sequence[Sha
 def recognize(p: SplitPartition, verify: bool = True) -> Decision:
     """Full recognition with certificates.
 
-    With verify on (the default) a success decision carries an orientation,
-    built from the labeling, that passed the orientation, acyclicity and
-    shortcut-freeness checks, all in O(n * (t + 1)) mask operations.
+    With verify on (the default) a success decision carries an orientation
+    that follows a vertex order built from the labeling, so it is acyclic by
+    construction, and that passed the shortcut check, all in O(n * (t + 1))
+    mask operations.
     Failures carry the circular-ones refutation, upgraded to a case-tagged
     seven-vertex witness when the independent set has at most three vertices.
     verify=False skips the orientation and its checks; it is meant for
@@ -305,22 +303,19 @@ def recognize(p: SplitPartition, verify: bool = True) -> Decision:
 def _certify(p: SplitPartition, masks: Sequence[int], perm: Sequence[int], verify: bool) -> Decision:
     """The YES decision for a circular-ones row order of the neighborhood
     masks: its labeling, re-validated, and with verify on its orientation,
-    checked for cycles and shortcuts."""
+    checked for shortcuts."""
     labeling = Labeling(tuple(p.clique[r - 1] for r in perm))
-    # masks and shapes are computed once and shared by validation and construction
-    shapes = _labeling_shapes(p, labeling, masks)
-    found = tuple(_violations(shapes, p.independent))
-    if found:
-        raise InternalConsistencyError(f"circular-ones certificate produced an invalid labeling: {found}")
-    orientation = None
-    if verify:
-        try:
+    orientation = witness = None
+    try:
+        # masks and shapes are computed once and shared by validation and construction
+        shapes = _valid_shapes(p, labeling, masks)
+        if verify:
             orientation = _orient_labeling(p, labeling, shapes)
             witness = find_shortcut(orientation)
-        except ValueError as exc:  # a failed check or a cycle: the certificate is wrong, the input is not
-            raise InternalConsistencyError(f"constructed orientation is invalid: {exc}") from exc
-        if witness is not None:
-            raise InternalConsistencyError(f"constructed orientation has a shortcut: {witness}")
+    except ValueError as exc:  # a failed check or a cycle: the certificate is wrong, the input is not
+        raise InternalConsistencyError(f"circular-ones certificate is invalid: {exc}") from exc
+    if witness is not None:
+        raise InternalConsistencyError(f"constructed orientation has a shortcut: {witness}")
     return Decision(True, labeling=labeling, orientation=orientation, verified=verify)
 
 
@@ -423,30 +418,26 @@ def _adjacent_quad(masks: Sequence[int], pools: list[int]) -> Optional[tuple[int
 
 def render_decision(d: Decision, machine: bool = False) -> str:
     """External text form of a decision (plain or key=value record)."""
-    if machine:
-        lines = [f"outcome={'semi-transitive' if d.semi_transitive else 'not-semi-transitive'}"]
-        if d.semi_transitive:
-            lines.append("labeling=" + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
+    if d.semi_transitive:
+        labeling = " ".join(f"{u}:{i}" for i, u in enumerate(d.labeling.order, start=1))
+        if machine:
+            lines = ["outcome=semi-transitive", "labeling=" + labeling]
             if d.orientation is not None:
                 lines.append("orientation=" + format_pairs(d.orientation.out, ">", " "))
             lines.append(f"verified={'true' if d.verified else 'false'}")
         else:
-            lines.append(f"witness={d.refutation.kind}")
-            if d.refutation.vertices:
-                lines.append("vertices=" + " ".join(str(v) for v in d.refutation.vertices))
-        return "\n".join(lines) + "\n"
-    if d.semi_transitive:
-        lines = ["SEMI-TRANSITIVE"]
-        lines.append("labeling: " + " ".join(f"{u}:{i + 1}" for i, u in enumerate(d.labeling.order)))
-        if d.orientation is not None:
-            lines.append("orientation:")
-            arcs = format_pairs(d.orientation.out, " > ", "\n")
-            if arcs:
-                lines.append(arcs)
-        return "\n".join(lines) + "\n"
-    lines = ["NOT-SEMI-TRANSITIVE"]
-    witness = d.refutation.kind
-    if d.refutation.vertices:
-        witness += " " + " ".join(str(v) for v in d.refutation.vertices)
-    lines.append(f"witness: {witness}")
+            lines = ["SEMI-TRANSITIVE", "labeling: " + labeling]
+            if d.orientation is not None:
+                lines.append("orientation:")
+                arcs = format_pairs(d.orientation.out, " > ", "\n")
+                if arcs:
+                    lines.append(arcs)
+    else:
+        kind, vertices = d.refutation.kind, " ".join(map(str, d.refutation.vertices))
+        if machine:
+            lines = ["outcome=not-semi-transitive", "witness=" + kind]
+            if vertices:
+                lines.append("vertices=" + vertices)
+        else:
+            lines = ["NOT-SEMI-TRANSITIVE", f"witness: {kind} {vertices}".rstrip()]
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from operator import and_
 from semitrans import BinaryMatrix, Graph, Orientation, orient_by_order
 from semitrans.graphs import bits, vertex_mask
 from semitrans.pqtree import PQTree
-from semitrans.recognition import forbidden_types
+from semitrans.recognition import Shape, forbidden_types
 
 
 def bipartition_split_oracle(g: Graph):
@@ -105,6 +105,23 @@ def forbidden_subgraph_reference(g: Graph):
                     for u3 in bits(pools[2] & masks[u1] & masks[u2]):
                         for u4 in bits(pools[3] & masks[u1] & masks[u2] & masks[u3]):
                             return f"case-{tag}", tuple(sorted(triple + (u1, u2, u3, u4)))
+    return None
+
+
+def shape_reference(k: int, positions) -> "Shape | None":
+    """Shape of a set of positions in 1..k, by trying every interval [a, b]
+    and then every prefix+suffix pair [1, a] u [b, k] with a gap between."""
+    positions = set(positions)
+    if not positions:
+        return Shape("empty")
+    for a in range(1, k + 1):
+        for b in range(a, k + 1):
+            if len(positions) == b - a + 1 and positions == set(range(a, b + 1)):
+                return Shape("interval", a, b)
+    for a in range(1, k + 1):
+        for b in range(a + 2, k + 1):
+            if len(positions) == a + k - b + 1 and positions == set(range(1, a + 1)) | set(range(b, k + 1)):
+                return Shape("wrapped", a, b)
     return None
 
 

@@ -1,5 +1,12 @@
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import semitrans
 from semitrans.cli import main
 from semitrans.generate import GenSpec, forbidden_configuration, generate
 from semitrans.graphs import format_graph, parse_graph_pinned, split_partition
@@ -118,9 +125,11 @@ def test_internal_error_exit_3(write, capsys, monkeypatch, exc):
 
 
 def _corrupt_windows(defect, order, windows, clique):
-    """One defect in the windows of a labeling's certificate (see
-    Orientation._from_windows): an arc to a non-neighbor, an arc back to the
-    previous vertex of the order, or an edge left without a direction."""
+    """One defect in the windows of a labeling's certificate, each caught by
+    the check of every window against its vertex's out-mask (see
+    Orientation._from_windows): a window that reaches a non-neighbor, one
+    that holds only the previous vertex of the order, or one that skips the
+    next vertex, a neighbor."""
     windows = list(windows)
     in_clique = [j for j, v in enumerate(order) if clique >> (v - 1) & 1]
     if defect == "non-edge":  # an independent vertex is never adjacent to the whole clique
@@ -135,15 +144,19 @@ def _corrupt_windows(defect, order, windows, clique):
 
 
 @pytest.mark.parametrize("defect,message", [
-    ("non-edge", "is not an edge of the base graph"),
-    ("backward", "back to a vertex not after it in the order"),
-    ("missing-edge", "some edges are missing a direction"),
+    ("non-edge", "does not match its out-mask"),
+    ("backward", "does not match its out-mask"),
+    ("missing-edge", "does not match its out-mask"),
+    ("bijection", "labeling is not a bijection on the clique"),
     ("shortcut", "constructed orientation has a shortcut"),
 ])
 def test_corrupted_certificate_exit_3(write, capsys, monkeypatch, defect, message):
     # the certificate's own checks catch a bad construction; it is an
     # internal error (exit 3), never an answer and never bad input
-    if defect == "shortcut":
+    if defect == "bijection":  # a row order that repeats a row
+        text = PATH_GRAPH
+        monkeypatch.setattr("semitrans.recognition.decide_labeling", lambda k, masks: (1,) * k)
+    elif defect == "shortcut":
         # identity labeling of clique 1..5 with wrapped 6 (prefix 1, suffix 3..5)
         # and 7 (prefix 1..3, suffix 5): condition 3 fails, so 6 > 3 > 7 > 5
         # closed by 6 > 5 misses the pair 6, 7; the labeling check is off
@@ -315,3 +328,51 @@ def test_cli_rejects_bad_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--k", "2", "--t", "1", "--mode", "bogus"])
     assert exc.value.code == 2
+
+
+def _yes_no_files(write):
+    p = forbidden_configuration("a")
+    return write("yes.graph", PATH_GRAPH), write("no.graph", format_graph(p.graph, p.clique))
+
+
+def test_main_leaves_no_cyclic_garbage(write, capsys):
+    # the parser is built once per process, so a call allocates no argparse
+    # objects that only the cyclic collector could free; under DEBUG_SAVEALL
+    # the collector keeps whatever it would have freed in gc.garbage
+    yes, no = _yes_no_files(write)
+    argvs = [["recognize", f, *flags] for f in (yes, no) for flags in ((), ("--machine", "--no-verify"))]
+    main(argvs[0])
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in argvs * 3:
+            main(argv)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert garbage == 0
+
+
+def test_main_calls_print_what_they_print_alone(write, capsys):
+    # calls with different flags in one process share no parsed state: each
+    # prints what it prints in an interpreter of its own
+    yes, no = _yes_no_files(write)
+    matrix = write("m.matrix", "3 2\n10\n11\n01\n")
+    argvs = [
+        ["recognize", yes, "--machine", "--no-verify"], ["recognize", yes], ["recognize", yes, "--machine"],
+        ["recognize", no], ["recognize", no, "--machine"], ["forbidden", no, "--machine"], ["forbidden", no],
+        ["circ1p", matrix], ["oracle", yes, "--machine", "--max-vertices", "3"], ["oracle", yes],
+    ]
+    together = []
+    for argv in argvs:
+        rc = main(argv)
+        together.append((rc, *capsys.readouterr()))
+    src = str(Path(semitrans.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    alone = [subprocess.run([sys.executable, "-m", "semitrans.cli", *argv], capture_output=True, text=True, env=env)
+             for argv in argvs]
+    assert together == [(run.returncode, run.stdout, run.stderr) for run in alone]

@@ -32,10 +32,13 @@ from semitrans import (
     validate_labeling,
     validate_matrix_form,
 )
-from semitrans.generate import GenSpec, forbidden_configuration, generate, split_graph_from_types
+from semitrans.generate import (
+    GenSpec, forbidden_configuration, generate, planted_yes_masks, split_graph_from_types, stream_for_instance,
+)
 from semitrans.graphs import bits, format_graph, normalize_partition, parse_graph_pinned
+from semitrans.recognition import shapes_under_order
 
-from oracles import assert_shortcut_witness, forbidden_subgraph_reference
+from oracles import assert_shortcut_witness, forbidden_subgraph_reference, shape_reference
 from strategies import split_partitions
 
 
@@ -109,6 +112,29 @@ def test_shape_empty():
     p = split_graph_from_types([{1}, set()], 2)
     lab = Labeling(p.clique)
     assert shape_of(p, lab, p.independent[1]) == Shape("empty")
+
+
+def test_shapes_under_order_match_reference():
+    # every position set for k <= 10 under the identity row order
+    for k in range(11):
+        masks = range(1 << k)
+        assert shapes_under_order(k, masks, range(1, k + 1)) == [shape_reference(k, bits(m)) for m in masks]
+    # seeded masks at the benchmark's (k, t): planted YES masks under the
+    # pipeline's row order, and circular runs and random masks under a shuffled one
+    rng = random.Random(17)
+    kinds = set()
+    for k, t in ((40, 48), (240, 20), (72, 16)):
+        yes = planted_yes_masks(stream_for_instance(17, k), k, t)
+        shuffled = rng.sample(range(1, k + 1), k)
+        runs = [sum(1 << (shuffled[(start + i) % k] - 1) for i in range(length))
+                for start, length in ((rng.randrange(k), rng.randint(1, k)) for _ in range(t))]
+        noise = [rng.getrandbits(k) for _ in range(t)]
+        for masks, order in ((yes, decide_labeling(k, yes)), (runs + noise + [0, (1 << k) - 1], shuffled)):
+            position = {r: p for p, r in enumerate(order, start=1)}
+            shapes = shapes_under_order(k, masks, order)
+            assert shapes == [shape_reference(k, (position[r] for r in bits(m))) for m in masks]
+            kinds |= {s.kind if s is not None else None for s in shapes}
+    assert kinds == {"empty", "interval", "wrapped", None}
 
 
 # -- labeling validation -------------------------------------------------------
