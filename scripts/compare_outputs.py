@@ -5,9 +5,12 @@ Usage:
 
 OLD_SRC and NEW_SRC are directories that contain the `semitrans` package
 (the `src/` of two checkouts).  For every seed, the recognize benchmark's
-`decide` and `verify` corpora are written into a temporary directory by
-`recognize_bench.workloads.write_corpus` under each tree, and the two sets of
-files must be identical.  Then each tree runs, in its own interpreter:
+`decide` and `verify` corpora (`recognize_bench.workloads.write_corpus`) and
+a `generated` corpus of `semitrans.generate` graphs (planted-yes, planted-no,
+and random at densities 0.1 and 0.3; k 8 and 30; t from 4 to 60; every other
+one with its clique pinned) are written into a temporary directory under each
+tree, and the two sets of files must be identical.  Then each tree runs, in
+its own interpreter:
 
 - `recognize` plain, `--machine`, `--no-verify` and both, on every corpus file,
   and on two copies of every corpus file that pins its clique: one with the
@@ -98,6 +101,10 @@ GEN_ARGS = (
     ("--k", "240", "--t", "20", "--mode", "planted-yes", "--count", "2"),
     ("--k", "64", "--t", "200", "--mode", "planted-no", "--count", "1"),
 )
+# the generated corpus: (mode, density) x k x t, two graphs each
+GENERATED_MODES = (("planted-yes", 0.5), ("planted-no", 0.3), ("random", 0.1), ("random", 0.3))
+GENERATED_KS = (8, 30)
+GENERATED_TS = (4, 5, 6, 8, 12, 16, 24, 32, 48, 60)
 RANDOM_ORIENTATIONS = 200   # small random digraphs: cyclic, shortcut-free or with shortcuts
 MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle")
 MATRICES_PER_SEED = 180
@@ -132,10 +139,21 @@ def _worker(src: str, job: str, out: str):
 def _corpus_worker(src: str, directory: str, seeds: str):
     sys.path[:0] = [src, str(REPO)]
     from recognize_bench.workloads import WORKLOADS, write_corpus
+    from semitrans.generate import GenSpec, generate
+    from semitrans.graphs import format_graph
 
     for seed in (int(s) for s in seeds.split(",")):
         for name in ("decide", "verify"):
             write_corpus(WORKLOADS[name], seed, Path(directory) / f"seed{seed}" / name)
+        generated = Path(directory) / f"seed{seed}" / "generated"
+        generated.mkdir()
+        for mode, density in GENERATED_MODES:
+            for k in GENERATED_KS:
+                for t in GENERATED_TS:
+                    spec = GenSpec(k=k, t=t, density=density, seed=seed, mode=mode)
+                    for idx, p in enumerate(generate(spec, count=2)):
+                        path = generated / f"{mode}-{density}-k{k}-t{t}-{idx}.txt"
+                        path.write_text(format_graph(p.graph, clique=p.clique if idx == 0 else None))
 
 
 def _run_both(trees: list[str], argvs: list[list[str]], tmp: Path, tag: str) -> list[list]:

@@ -38,24 +38,6 @@ class BinaryMatrix:
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label list must have one entry per column")
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], labels: Optional[Sequence[object]] = None) -> "BinaryMatrix":
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        cols = [0] * n
-        for r, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise ValueError(f"entry {x!r} not in {{0,1}}")
-                if x:
-                    cols[j] |= 1 << r
-        return BinaryMatrix(m, n, tuple(cols), tuple(labels) if labels is not None else None)
-
-    def rows(self) -> list[list[int]]:
-        return [[(c >> r) & 1 for c in self.columns] for r in range(self.m)]
-
 
 class GraphFormatError(ValueError):
     """Malformed graph, orientation or matrix text; carries the 1-based line number."""
@@ -161,12 +143,18 @@ def has_consecutive_ones(mtx: BinaryMatrix) -> Optional[tuple[int, ...]]:
     insertion order is that stable sort.  The certificate is the final
     leftmost frontier.
     """
-    m = mtx.m
-    if m == 0:
-        return ()
-    buckets: list[list[int]] = [[] for _ in range(m + 1)]
+    buckets: list[list[int]] = [[] for _ in range(mtx.m + 1)]
     for c in mtx.columns:
         buckets[c.bit_count()].append(c)
+    return reduce_buckets(mtx.m, buckets)
+
+
+def reduce_buckets(m: int, buckets: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The leftmost frontier of a PQ tree on m rows after reducing the
+    columns of buckets[m-1] down to buckets[2] in order, or None at the first
+    failing reduction; buckets[c] holds columns with c ones."""
+    if m == 0:
+        return ()
     tree = PQTree(m)
     for ones in range(m - 1, 1, -1):
         for c in buckets[ones]:

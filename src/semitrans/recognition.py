@@ -18,7 +18,8 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, bits, format_pairs, neighborhood_matrix, split_partition, vertex_mask
-from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, has_circular_ones
+from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, reduce_buckets
+from .matrices import has_circular_ones  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 from .orient import Orientation, find_shortcut
 from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 
@@ -196,9 +197,23 @@ def prune_trivial_columns(mtx: BinaryMatrix) -> BinaryMatrix:
 
 def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Decision core: a clique row order making every pairwise intersection
-    circularly contiguous, or None.  This is the O(t^2 k) path that bench times."""
-    mtx = intersection_matrix_from_masks(k, neighborhood_masks)
-    return has_circular_ones(prune_trivial_columns(mtx))
+    circularly contiguous, or None.  This is the O(t^2 k) path that bench times.
+    One pass over the pairs i <= j prunes, complements and buckets their
+    intersections as has_circular_ones(prune_trivial_columns(...)) would."""
+    if neighborhood_masks and (min(neighborhood_masks) < 0 or max(neighborhood_masks) >> k):
+        raise ValueError("column mask out of range for row count")
+    full = (1 << k) - 1
+    buckets: list[list[int]] = [[] for _ in range(k + 1)]
+    for i, mi in enumerate(neighborhood_masks):
+        for mj in neighborhood_masks[i:]:
+            c = mi & mj
+            ones = c.bit_count()
+            if ones > 1:
+                if c & 1:
+                    c ^= full
+                    ones = k - ones
+                buckets[ones].append(c)
+    return reduce_buckets(k, buckets)
 
 
 def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Sequence[int]) -> list[Optional[Shape]]:

@@ -18,6 +18,7 @@ from semitrans import (
     enumerate_valid_perms,
     find_forbidden_subgraph,
     find_shortcut,
+    has_circular_ones,
     induced_subgraph,
     intersection_matrix,
     is_acyclic,
@@ -36,7 +37,7 @@ from semitrans.generate import (
     GenSpec, forbidden_configuration, generate, planted_yes_masks, split_graph_from_types, stream_for_instance,
 )
 from semitrans.graphs import bits, format_graph, normalize_partition, parse_graph_pinned
-from semitrans.recognition import shapes_under_order
+from semitrans.recognition import intersection_matrix_from_masks, shapes_under_order
 
 from oracles import assert_shortcut_witness, forbidden_subgraph_reference, shape_reference
 from strategies import split_partitions
@@ -319,6 +320,35 @@ def test_recognize_no_verify_skips_orientation():
 def test_decide_labeling_empty_cases():
     assert decide_labeling(0, []) == ()
     assert decide_labeling(3, []) is not None
+
+
+def test_decide_labeling_matches_the_composed_pipeline():
+    # the fused column pass must give the frontier, or None, of the matrix
+    # stages run one after the other
+    rng = random.Random(19)
+    yes = 0
+    for case in range(3000):
+        k, t = rng.randint(0, 40), rng.randint(0, 30)
+        full = (1 << k) - 1
+        if case % 3 == 0:
+            masks = planted_yes_masks(stream_for_instance(19, case), k, t)
+        elif case % 3 == 1:  # sparse, even or dense random masks, some empty or full
+            draw = rng.choice([lambda: rng.getrandbits(k) & rng.getrandbits(k), lambda: rng.getrandbits(k),
+                               lambda: rng.getrandbits(k) | rng.getrandbits(k)])
+            masks = [rng.choice([0, full]) if rng.random() < 0.1 else draw() for _ in range(t)]
+        else:  # duplicate-heavy: t draws from a pool of a few masks with the empty and the full one
+            pool = [0, full] + [rng.getrandbits(k) for _ in range(rng.randint(1, 4))]
+            masks = [rng.choice(pool) for _ in range(t)]
+        expected = has_circular_ones(prune_trivial_columns(intersection_matrix_from_masks(k, masks)))
+        assert decide_labeling(k, masks) == expected, (k, masks)
+        yes += expected is not None
+    assert 1000 < yes < 2500  # both answers are well represented
+
+
+def test_decide_labeling_rejects_masks_outside_its_rows():
+    for masks in ([0b11, -1], [-4], [0b11, 1 << 3], [0b1111]):
+        with pytest.raises(ValueError, match="column mask out of range for row count"):
+            decide_labeling(3, masks)
 
 
 def test_decisions_leave_no_cyclic_garbage():
