@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .generate import MODES, GenSpec, generate
 from .graphs import GraphFormatError, format_graph, format_pairs, parse_graph_pinned, normalize_partition, split_partition
@@ -34,7 +33,8 @@ from .recognition import find_forbidden_subgraph, recognize, render_decision
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    with open(path) as f:
+        return f.read()
 
 
 def _partition_from_file(path: str):

@@ -7,9 +7,9 @@ base seed, so instances can be regenerated independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, SplitPartition, bits, normalize_partition, vertex_mask
 from .recognition import forbidden_types
@@ -66,27 +66,23 @@ def stream_for_instance(seed: int, index: int) -> SplitMix64:
     return SplitMix64(mixer.next64())
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Instance-generation parameters."""
+class GenSpec(namedtuple("GenSpec", "k t density seed mode")):
+    """Instance-generation parameters; mode is one of MODES."""
 
-    k: int
-    t: int
-    density: float = 0.5
-    seed: int = 0
-    mode: str = "random"   # one of MODES
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 0 or self.t < 0:
+    def __new__(cls, k: int, t: int, density: float = 0.5, seed: int = 0, mode: str = "random"):
+        if k < 0 or t < 0:
             raise ValueError("k and t must be nonnegative")
-        if not (0.0 <= self.density <= 1.0):
+        if not (0.0 <= density <= 1.0):
             raise ValueError("density must be a probability")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive" and (self.k > 5 or self.t > 4):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "exhaustive" and (k > 5 or t > 4):
             raise ValueError("exhaustive mode is bounded by k <= 5, t <= 4")
-        if self.mode == "planted-no" and (self.k < 4 or self.t < 3):
+        if mode == "planted-no" and (k < 4 or t < 3):
             raise ValueError("planted-no needs k >= 4 and t >= 3")
+        return tuple.__new__(cls, (k, t, density, seed, mode))
 
 
 def split_graph_from_types(types: Sequence[Iterable[int]], t: int) -> SplitPartition:

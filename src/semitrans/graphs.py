@@ -9,11 +9,11 @@ here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import compress
 from operator import lt
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .matrices import BinaryMatrix, GraphFormatError, read_header
 
@@ -34,18 +34,15 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class Graph(namedtuple("Graph", "n masks")):
     """Simple undirected graph on vertices 1..n.
 
     masks[v] has bit u-1 set for every neighbor u of v, and masks[0] is 0.
-    Equality and hashing use (n, masks); the edge set is derived on demand.
+    Equality and hashing use (n, masks); the edge set is derived on demand
+    and cached in the instance dict.
     """
 
-    n: int
-    masks: tuple[int, ...]
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         masks = [0] * (n + 1)
@@ -54,17 +51,16 @@ class Graph:
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
             masks[u] |= 1 << (v - 1)
             masks[v] |= 1 << (u - 1)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", tuple(masks))
+        return tuple.__new__(cls, (n, tuple(masks)))
 
     @classmethod
-    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> "Graph":
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> Graph:
         """Wrap adjacency masks the caller has already validated: symmetric,
         no self-loops, no bit at or above n, masks[0] == 0."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "masks", masks)
-        return g
+        return tuple.__new__(cls, (n, masks))
+
+    def __reduce__(self):
+        return self._from_masks, tuple(self)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -78,8 +74,7 @@ class Graph:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(namedtuple("SplitPartition", "graph clique independent")):
     """A graph together with a certified clique/independent-set bipartition.
 
     The clique and independent tuples are ordered; their order is the row and
@@ -88,13 +83,10 @@ class SplitPartition:
     to all of it.
     """
 
-    graph: Graph
-    clique: tuple[int, ...]
-    independent: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.graph
-        c, i = self.clique, self.independent
+    def __new__(cls, graph: Graph, clique: tuple[int, ...], independent: tuple[int, ...]):
+        g, c, i = graph, clique, independent
         if sorted(c + i) != list(g.vertices()):
             raise ValueError("clique and independent set must partition the vertices")
         _check_sides(g, c, i)
@@ -104,6 +96,7 @@ class SplitPartition:
                 raise ValueError(f"independent vertex {v} is adjacent to all of the clique")
             if not cmask:
                 raise ValueError(f"independent vertex {v} with empty clique violates maximality")
+        return tuple.__new__(cls, (graph, clique, independent))
 
     @property
     def k(self) -> int:
@@ -138,16 +131,15 @@ def _check_sides(g: Graph, clique: Sequence[int], independent: Sequence[int]):
             raise ValueError(f"independent vertices {x}, {y} are adjacent")
 
 
-@dataclass(frozen=True)
-class TwinReduction:
-    """Result of iterated twin removal: the reduced graph plus bookkeeping."""
+class TwinReduction(namedtuple("TwinReduction", "graph kept removals")):
+    """Result of iterated twin removal: the reduced graph plus bookkeeping.
+    kept[i] is the original id of new vertex i+1; removals holds (kept
+    original id, removed original id) pairs."""
 
-    graph: Graph
-    kept: tuple[int, ...]                      # kept[i] = original id of new vertex i+1
-    removals: tuple[tuple[int, int], ...]      # (kept original id, removed original id)
+    __slots__ = ()
 
 
-def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
+def parse_graph_pinned(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse a graph file, returning the optional pinned clique from a "C:" line.
 
     Format: first data line "n m", then m lines "u v" with 1 <= u < v <= n,
@@ -165,7 +157,7 @@ def parse_graph_pinned(text: str) -> tuple[Graph, Optional[tuple[int, ...]]]:
     n, m, lines = read_header(text, "n m")
     masks = [0] * (n + 1)
     count = 0
-    pinned: Optional[tuple[int, ...]] = None
+    pinned: tuple[int, ...] | None = None
     for line_no, line in lines:
         if line.startswith("C:"):
             if pinned is not None:
@@ -217,13 +209,13 @@ _NOT_DIGITS = str.maketrans("", "", "0123456789")
 _CHUNK = 1 << 14  # characters of edge lines per bulk pass: bounds the token lists held at once
 
 
-def _spaced(line: str) -> Optional[list[str]]:
+def _spaced(line: str) -> list[str] | None:
     """The tokens of line if it is them joined by single spaces, else None."""
     tokens = line.split()
     return tokens if " ".join(tokens) == line else None
 
 
-def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...]]]]:
+def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
     """Read a graph file in the layout `format_graph` writes, in bulk.
 
     The layout is "n m\\n", then m lines "u v\\n", then optionally one final
@@ -283,7 +275,7 @@ def _parse_canonical(text: str) -> Optional[tuple[Graph, Optional[tuple[int, ...
     return Graph._from_masks(n, final), pinned
 
 
-def _read_edge_lines(chunk: str, n: int, masks: list[int]) -> Optional[int]:
+def _read_edge_lines(chunk: str, n: int, masks: list[int]) -> int | None:
     """OR the edges of whole "u v\\n" lines into masks (bit v of masks[u]) and
     return the number of lines, or None if a line breaks the layout or holds
     an id that is not in 1..n or not less than the other.  Its token lists
@@ -336,7 +328,7 @@ def format_pairs(masks: Sequence[int], arrow: str, sep: str) -> str:
     return sep.join(chunks)
 
 
-def format_graph(g: Graph, clique: Optional[Iterable[int]] = None) -> str:
+def format_graph(g: Graph, clique: Iterable[int] | None = None) -> str:
     """Render a graph (and optionally a pinned clique) in the graph file format."""
     upper = [mask >> u << u for u, mask in enumerate(g.masks)]  # the edges (u, v) with u < v
     edges = format_pairs(upper, " ", "\n")
@@ -367,7 +359,7 @@ def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterab
     return SplitPartition(graph, tuple(c), tuple(i))
 
 
-def split_partition(g: Graph) -> Optional[SplitPartition]:
+def split_partition(g: Graph) -> SplitPartition | None:
     """Find a split partition of g, or None if g is not a split graph.
 
     Uses the degree-sequence characterization: with degrees sorted descending,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .generate import GenSpec, generate, planted_yes_masks, stream_for_instance
 from .graphs import SplitPartition, format_graph
@@ -22,14 +21,12 @@ from .recognition import (
 METHODS = ("recognize", "labeling-oracle", "orientation-oracle")
 
 
-@dataclass
 class DiffReport:
-    spec: GenSpec
-    methods: tuple[str, ...]
-    instances: int = 0
-    agreements: int = 0
-    disagreements: list = field(default_factory=list)   # (index, {method: bool}, dump)
-    timings: dict = field(default_factory=dict)         # method -> [seconds]
+    def __init__(self, spec: GenSpec, methods: tuple[str, ...]):
+        self.spec, self.methods = spec, methods
+        self.instances = self.agreements = 0
+        self.disagreements: list = []                       # (index, {method: bool}, dump)
+        self.timings: dict = {m: [] for m in methods}       # method -> [seconds]
 
     @property
     def ok(self) -> bool:
@@ -94,8 +91,7 @@ def difftest(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    report = DiffReport(spec=spec, methods=methods)
-    report.timings = {m: [] for m in methods}
+    report = DiffReport(spec, methods)
     for idx, p in enumerate(generate(spec, count)):
         results = {}
         for m in methods:
@@ -111,11 +107,10 @@ def difftest(
     return report
 
 
-@dataclass
 class BenchReport:
-    rows: list                      # (k, t, median_seconds)
-    slope_t: Optional[float]
-    slope_k: Optional[float]
+    def __init__(self, rows: list, slope_t: float | None, slope_k: float | None):
+        self.rows = rows                # (k, t, median_seconds)
+        self.slope_t, self.slope_k = slope_t, slope_k
 
     def render(self) -> str:
         lines = ["k t median_s"]
@@ -126,7 +121,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _fit_slope(points: list[tuple[float, float]]) -> Optional[float]:
+def _fit_slope(points: list[tuple[float, float]]) -> float | None:
     """Least-squares slope of log(y) against log(x)."""
     if len(points) < 2:
         return None
@@ -140,7 +135,7 @@ def _fit_slope(points: list[tuple[float, float]]) -> Optional[float]:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
-def _mean_slope(lines: list[list[tuple[float, float]]]) -> Optional[float]:
+def _mean_slope(lines: list[list[tuple[float, float]]]) -> float | None:
     """Mean log-log slope over the grid lines that have one (positive times only)."""
     slopes = []
     for pts in lines:

@@ -8,9 +8,9 @@ at position p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from itertools import permutations
-from typing import Callable, Optional, Sequence
 
 from .pqtree import PQTree
 
@@ -19,24 +19,22 @@ class SizeGuardError(ValueError):
     """An enumeration oracle was asked to exceed its configured size bound."""
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """Immutable m x n matrix over {0,1}, column-major bitmask storage."""
+class BinaryMatrix(namedtuple("BinaryMatrix", "m n columns labels")):
+    """Immutable m x n matrix over {0,1}, column-major bitmask storage:
+    columns is a tuple of n row masks, labels None or one entry per column."""
 
-    m: int
-    n: int
-    columns: tuple[int, ...]
-    labels: Optional[tuple[object, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __new__(cls, m: int, n: int, columns: tuple[int, ...], labels: tuple[object, ...] | None = None):
+        if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.columns) != self.n:
+        if len(columns) != n:
             raise ValueError("column count mismatch")
-        if self.columns and (min(self.columns) < 0 or max(self.columns) >> self.m):
+        if columns and (min(columns) < 0 or max(columns) >> m):
             raise ValueError("column mask out of range for row count")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("label list must have one entry per column")
+        return tuple.__new__(cls, (m, n, columns, labels))
 
 
 class GraphFormatError(ValueError):
@@ -87,7 +85,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     return BinaryMatrix(m, n, tuple(cols))
 
 
-def format_permutation(perm: Optional[tuple[int, ...]]) -> str:
+def format_permutation(perm: tuple[int, ...] | None) -> str:
     if perm is None:
         return "none"
     return "perm: " + " ".join(str(p) for p in perm)
@@ -133,7 +131,7 @@ def check_circ_under_perm(mtx: BinaryMatrix, perm: Sequence[int]) -> bool:
     return all(_ones_circular(_permuted_mask(c, perm), mtx.m) for c in mtx.columns)
 
 
-def has_consecutive_ones(mtx: BinaryMatrix) -> Optional[tuple[int, ...]]:
+def has_consecutive_ones(mtx: BinaryMatrix) -> tuple[int, ...] | None:
     """Certificate row permutation for the consecutive-ones property, or None.
 
     PQ-tree reduction, one column at a time; columns are processed by
@@ -149,7 +147,7 @@ def has_consecutive_ones(mtx: BinaryMatrix) -> Optional[tuple[int, ...]]:
     return reduce_buckets(mtx.m, buckets)
 
 
-def reduce_buckets(m: int, buckets: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+def reduce_buckets(m: int, buckets: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """The leftmost frontier of a PQ tree on m rows after reducing the
     columns of buckets[m-1] down to buckets[2] in order, or None at the first
     failing reduction; buckets[c] holds columns with c ones."""
@@ -176,7 +174,7 @@ def tucker_transform(mtx: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(mtx.m, mtx.n, cols, mtx.labels)
 
 
-def has_circular_ones(mtx: BinaryMatrix) -> Optional[tuple[int, ...]]:
+def has_circular_ones(mtx: BinaryMatrix) -> tuple[int, ...] | None:
     """Certificate row permutation for the circular-ones property, or None.
 
     A consecutive-ones certificate of the first-row-complemented matrix serves
@@ -191,10 +189,10 @@ def has_circular_ones(mtx: BinaryMatrix) -> Optional[tuple[int, ...]]:
 def enumerate_valid_perms(
     mtx: BinaryMatrix,
     mode: str = "circular",
-    extra: Optional[Callable[[tuple[int, ...]], bool]] = None,
+    extra: Callable[[tuple[int, ...]], bool] | None = None,
     collect: bool = False,
     guard: int = 8,
-) -> tuple[int, Optional[list[tuple[int, ...]]]]:
+) -> tuple[int, list[tuple[int, ...]] | None]:
     """Count (and optionally list) row permutations passing the literal check.
 
     mode is "consecutive" or "circular"; extra is an optional per-permutation
@@ -206,7 +204,7 @@ def enumerate_valid_perms(
         raise SizeGuardError(f"m={mtx.m} exceeds the enumeration guard {guard}")
     checker = check_c1p_under_perm if mode == "consecutive" else check_circ_under_perm
     count = 0
-    found: Optional[list[tuple[int, ...]]] = [] if collect else None
+    found: list[tuple[int, ...]] | None = [] if collect else None
     for perm in permutations(range(1, mtx.m + 1)):
         if checker(mtx, perm) and (extra is None or extra(perm)):
             count += 1

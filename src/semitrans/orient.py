@@ -32,28 +32,25 @@ off the sweep's masks only when a shortcut exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .graphs import Graph, bits, format_pairs
 from .matrices import GraphFormatError, SizeGuardError, read_header
 
 
-@dataclass(frozen=True, init=False)
-class Orientation:
+class Orientation(namedtuple("Orientation", "graph out")):
     """A direction (tail, head) for every edge of the base graph.
 
     out[v] has bit w-1 set for every arc (v, w), and out[0] is 0.  Equality
-    and hashing use (graph, out); the arc set is derived on demand.  Built
-    from arcs, every arc must be a bit of the graph's adjacency masks, no edge
-    may be oriented both ways, and there must be one arc per edge.
+    and hashing use (graph, out); the arc set and the topological order are
+    derived on demand and cached in the instance dict.  Built from arcs,
+    every arc must be a bit of the graph's adjacency masks, no edge may be
+    oriented both ways, and there must be one arc per edge.
     """
 
-    graph: Graph
-    out: tuple[int, ...]
-
-    def __init__(self, graph: Graph, arcs: frozenset[tuple[int, int]]):
+    def __new__(cls, graph: Graph, arcs: frozenset[tuple[int, int]]):
         n, adj = graph.n, graph.masks
         out = [0] * (n + 1)
         for u, v in arcs:
@@ -64,20 +61,19 @@ class Orientation:
             out[u] |= 1 << (v - 1)
         if 2 * sum(m.bit_count() for m in out) != sum(m.bit_count() for m in adj):
             raise ValueError("some edges are missing a direction")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "out", tuple(out))
+        return tuple.__new__(cls, (graph, tuple(out)))
 
     @classmethod
-    def _from_masks(cls, graph: Graph, out: tuple[int, ...]) -> "Orientation":
+    def _from_masks(cls, graph: Graph, out: tuple[int, ...]) -> Orientation:
         """Wrap out-masks the caller has already validated against graph."""
-        o = object.__new__(cls)
-        object.__setattr__(o, "graph", graph)
-        object.__setattr__(o, "out", out)
-        return o
+        return tuple.__new__(cls, (graph, out))
+
+    def __reduce__(self):
+        return self._from_masks, tuple(self)
 
     @classmethod
     def _from_windows(cls, graph: Graph, order: Sequence[int], windows: Sequence[tuple[int, int]],
-                      clique: int) -> "Orientation":
+                      clique: int) -> Orientation:
         """orient_by_order(graph, order), with its out-masks relabelled by
         position in the order read off windows: order[j] has an arc to every
         vertex of order[lo:hi], (lo, hi) = windows[j], that lies in the vertex
@@ -115,7 +111,7 @@ class Orientation:
         return 1 <= u <= self.graph.n and 1 <= v and bool(self.out[u] >> (v - 1) & 1)
 
     @cached_property
-    def _topo(self) -> Optional[tuple[list[int], list[int]]]:
+    def _topo(self) -> tuple[list[int], list[int]] | None:
         """A topological order, and for each position i the out-mask of
         order[i] with bit j set for an arc to order[j]; None if there is a
         directed cycle.  One depth-first pass over the out-masks: a vertex is
@@ -151,13 +147,10 @@ class Orientation:
         return order, fwd
 
 
-@dataclass(frozen=True)
-class ShortcutWitness:
+class ShortcutWitness(namedtuple("ShortcutWitness", "path closing missing")):
     """A violating path, its closing edge, and one missing transitive edge."""
 
-    path: tuple[int, ...]
-    closing: tuple[int, int]
-    missing: tuple[int, int]
+    __slots__ = ()
 
 
 def orient_by_order(g: Graph, order: Sequence[int]) -> Orientation:
@@ -224,7 +217,7 @@ def _shortest_path(o: Orientation, src: int, dst: int) -> list[int]:
     raise AssertionError(f"no directed path {src} -> {dst}; the reach masks are wrong, this is a bug")
 
 
-def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
+def find_shortcut(o: Orientation) -> ShortcutWitness | None:
     """Smallest-witness shortcut of an acyclic orientation, or None.
 
     Deterministic: the closing arc (x, y) is the smallest in sorted order,
@@ -262,7 +255,7 @@ def is_semi_transitive_orientation(o: Orientation) -> bool:
     return is_acyclic(o) and find_shortcut(o) is None
 
 
-def _search_semi_transitive_order(g: Graph) -> Optional[list[int]]:
+def _search_semi_transitive_order(g: Graph) -> list[int] | None:
     """Lexicographically first vertex order whose orientation is shortcut-free.
 
     Prefix-pruned DFS with three cuts, none of which can skip the first valid
@@ -360,7 +353,7 @@ def _search_semi_transitive_order(g: Graph) -> Optional[list[int]]:
 
 def oracle_semi_transitive(
     g: Graph, max_vertices: int = 9, reduce_twins: bool = True
-) -> Optional[Orientation]:
+) -> Orientation | None:
     """Exhaustive oracle: a semi-transitive orientation of g, or None.
 
     Searches vertex orders (every acyclic orientation arises from one), so

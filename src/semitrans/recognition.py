@@ -13,9 +13,9 @@ seven-vertex configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, SplitPartition, bits, format_pairs, neighborhood_matrix, split_partition, vertex_mask
 from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, reduce_buckets
@@ -28,64 +28,60 @@ class InternalConsistencyError(AssertionError):
     """A certified pipeline step failed its own re-validation (a bug, never input)."""
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """Bijection clique vertices -> positions 1..k, stored as the position order."""
+class Labeling(namedtuple("Labeling", "order")):
+    """Bijection clique vertices -> positions 1..k, stored as the position
+    order: order[p-1] is the vertex at position p."""
 
-    order: tuple[int, ...]  # order[p-1] = vertex at position p
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(namedtuple("Shape", "kind a b", defaults=(0, 0))):
     """Neighborhood of an independent vertex under a labeling.
 
     kind "interval" means positions [a, b]; kind "wrapped" means
     [1, a] u [b, k] with a < b; kind "empty" has no parameters.
     """
 
-    kind: str
-    a: int = 0
-    b: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: int          # 1 = shape, 2 = interval/wrapped, 3 = wrapped/wrapped
-    vertices: tuple[int, ...]
+class Violation(namedtuple("Violation", "condition vertices")):
+    """condition 1 = shape, 2 = interval/wrapped, 3 = wrapped/wrapped."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LabelingReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
+class LabelingReport(namedtuple("LabelingReport", "ok violations", defaults=((),))):
+    """Truthy exactly when ok; violations is a tuple of Violation."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Refutation:
-    kind: str                       # "circ1p-fail" | "case-a" | "case-b" | "case-c"
-    vertices: tuple[int, ...] = ()
+class Refutation(namedtuple("Refutation", "kind vertices", defaults=((),))):
+    """kind is "circ1p-fail", "case-a", "case-b" or "case-c"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decision:
-    semi_transitive: bool
-    labeling: Optional[Labeling] = None
-    orientation: Optional[Orientation] = None
-    refutation: Optional[Refutation] = None
-    verified: bool = False
+class Decision(namedtuple("Decision", "semi_transitive labeling orientation refutation verified",
+                          defaults=(None, None, None, False))):
+    """A YES carries a Labeling and, when verified, a shortcut-checked
+    Orientation; a NO carries a Refutation."""
+
+    __slots__ = ()
 
 
-def shape_of(p: SplitPartition, labeling: Labeling, v: int) -> Optional[Shape]:
+def shape_of(p: SplitPartition, labeling: Labeling, v: int) -> Shape | None:
     """Classify N(v) of an independent vertex under the labeling (None = violation)."""
     if v not in p.independent:
         raise ValueError(f"{v} is not an independent vertex of the partition")
     return _labeling_shapes(p, labeling, neighborhood_matrix(p).columns)[p.independent.index(v)]
 
 
-def _pair_ok(u_shape: Shape, v_shape: Shape) -> Optional[int]:
+def _pair_ok(u_shape: Shape, v_shape: Shape) -> int | None:
     """Violated condition number for a shape pair, or None if fine."""
     if u_shape.kind == "empty" or v_shape.kind == "empty":
         return None
@@ -103,7 +99,7 @@ def _pair_ok(u_shape: Shape, v_shape: Shape) -> Optional[int]:
     return 2
 
 
-def _labeling_shapes(p: SplitPartition, labeling: Labeling, masks: Sequence[int]) -> list[Optional[Shape]]:
+def _labeling_shapes(p: SplitPartition, labeling: Labeling, masks: Sequence[int]) -> list[Shape | None]:
     """Shape of every independent vertex's neighborhood, in p.independent
     order; masks are the columns of neighborhood_matrix(p)."""
     if sorted(labeling.order) != sorted(p.clique):
@@ -112,7 +108,7 @@ def _labeling_shapes(p: SplitPartition, labeling: Labeling, masks: Sequence[int]
     return shapes_under_order(p.k, masks, [row_of[u] for u in labeling.order])
 
 
-def _violations(shapes: Sequence[Optional[Shape]], ids: Sequence[int]) -> Iterator[Violation]:
+def _violations(shapes: Sequence[Shape | None], ids: Sequence[int]) -> Iterator[Violation]:
     """Labeling violations in report order: every vertex whose shape is None
     (condition 1), then every failing pair of the other vertices."""
     for v, s in zip(ids, shapes):
@@ -126,7 +122,7 @@ def _violations(shapes: Sequence[Optional[Shape]], ids: Sequence[int]) -> Iterat
                 yield Violation(cond, (u, v))
 
 
-def validate_shapes(shapes: Sequence[Optional[Shape]]) -> bool:
+def validate_shapes(shapes: Sequence[Shape | None]) -> bool:
     """Whether the shapes of all neighborhoods form a valid labeling."""
     return next(_violations(shapes, range(1, len(shapes) + 1)), None) is None
 
@@ -180,7 +176,7 @@ def intersection_matrix(p: SplitPartition) -> BinaryMatrix:
 
 
 def intersection_matrix_from_masks(
-    k: int, masks: Sequence[int], ids: Optional[Sequence[int]] = None
+    k: int, masks: Sequence[int], ids: Sequence[int] | None = None
 ) -> BinaryMatrix:
     cols = tuple([mi & mj for i, mi in enumerate(masks) for mj in masks[i:]])
     labels = None if ids is None else tuple([(a, b) for i, a in enumerate(ids) for b in ids[i:]])
@@ -195,7 +191,7 @@ def prune_trivial_columns(mtx: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(mtx.m, len(cols), cols, labels)
 
 
-def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> Optional[tuple[int, ...]]:
+def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> tuple[int, ...] | None:
     """Decision core: a clique row order making every pairwise intersection
     circularly contiguous, or None.  This is the O(t^2 k) path that bench times.
     One pass over the pairs i <= j prunes, complements and buckets their
@@ -216,7 +212,7 @@ def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> Optional[tuple
     return reduce_buckets(k, buckets)
 
 
-def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Sequence[int]) -> list[Optional[Shape]]:
+def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Sequence[int]) -> list[Shape | None]:
     """Shape of every neighborhood mask when clique rows are placed in row_order."""
     place = [0] * (k + 1)  # place[r]: the position bit of row r, bit p-1 for position p
     for pos, r in enumerate(row_order):
@@ -225,7 +221,7 @@ def shapes_under_order(k: int, neighborhood_masks: Sequence[int], row_order: Seq
     return [_shape(sum(map(place.__getitem__, bits(mask))), full) for mask in neighborhood_masks]
 
 
-def _shape(positions: int, full: int) -> Optional[Shape]:
+def _shape(positions: int, full: int) -> Shape | None:
     """Shape of a position mask within full: empty, one run of ones, or one
     run of zeros strictly inside (the ones wrap around); None otherwise."""
     if not positions:
@@ -334,7 +330,7 @@ def _certify(p: SplitPartition, masks: Sequence[int], perm: Sequence[int], verif
     return Decision(True, labeling=labeling, orientation=orientation, verified=verify)
 
 
-def enumerate_labelings_oracle(p: SplitPartition, guard: int = 8) -> Optional[Labeling]:
+def enumerate_labelings_oracle(p: SplitPartition, guard: int = 8) -> Labeling | None:
     """Independent oracle: first valid labeling in lexicographic vertex order, or None."""
     if p.k > guard:
         raise SizeGuardError(f"k={p.k} exceeds the labeling oracle guard {guard}")
@@ -380,7 +376,7 @@ def check_small_I(p: SplitPartition, verify: bool = True) -> Decision:
     return _certify(p, masks, perm, verify)
 
 
-def find_forbidden_subgraph(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
+def find_forbidden_subgraph(g: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Search for one of the three forbidden seven-vertex configurations.
 
     Returns (case tag, sorted vertex set) for the first witness in
@@ -396,7 +392,7 @@ def find_forbidden_subgraph(g: Graph) -> Optional[tuple[str, tuple[int, ...]]]:
     return _first_forbidden(g, p.independent)
 
 
-def _first_forbidden(g: Graph, independent: Sequence[int]) -> Optional[tuple[str, tuple[int, ...]]]:
+def _first_forbidden(g: Graph, independent: Sequence[int]) -> tuple[str, tuple[int, ...]] | None:
     """Anchor on the triples of an independent set in ascending order, class
     every other vertex by its adjacency into the triple, and look for a
     pairwise-adjacent quadruple with the four types of a case: (case tag,
@@ -421,7 +417,7 @@ def _first_forbidden(g: Graph, independent: Sequence[int]) -> Optional[tuple[str
 _CASE_CLASSES = {tag: [vertex_mask(r) for r in req] for tag, req in forbidden_types(1, 2, 3).items()}
 
 
-def _adjacent_quad(masks: Sequence[int], pools: list[int]) -> Optional[tuple[int, ...]]:
+def _adjacent_quad(masks: Sequence[int], pools: list[int]) -> tuple[int, ...] | None:
     """First pairwise-adjacent (u1, u2, u3, u4) with u_i in pool i, ascending u1, then u2, u3, u4."""
     for u1 in bits(pools[0]):
         for u2 in bits(pools[1] & masks[u1]):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 import subprocess
@@ -75,6 +76,22 @@ def test_recognize_errors_exit_2(write, capsys):
     assert main(["recognize", write("c5.graph", "5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")]) == 2
     assert "split" in capsys.readouterr().err
     assert main(["recognize", "/nonexistent/file.graph"]) == 2
+
+
+def test_recognize_reads_text_with_universal_newlines(tmp_path, capsys):
+    p = next(generate(GenSpec(k=8, t=4, seed=2, mode="planted-yes"), count=1))
+    text = format_graph(p.graph, clique=p.clique)
+    lf, crlf = tmp_path / "lf.graph", tmp_path / "crlf.graph"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    for flags in ([], ["--machine"]):
+        assert main(["recognize", *flags, str(lf)]) == 0
+        expected = capsys.readouterr()
+        assert main(["recognize", *flags, str(crlf)]) == 0
+        assert capsys.readouterr() == expected
+    for path, code in ((tmp_path / "missing.graph", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        assert main(["recognize", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
 
 
 def test_recognize_out_of_memory_exit_2(write, capsys, monkeypatch):
