@@ -35,6 +35,12 @@ its own interpreter:
   a trailing space, a CR, a tab, a space or line end moved past the digits
   beside it, a moved, doubled, repeating, out-of-range or empty `C:` line),
   some of them also without the final newline;
+- `check-orientation` on seeded files in `format_orientation`'s layout with
+  one edit each (`orientation_text` in `tests/graph_texts.py`): arcs
+  shuffled, repeated, reversed or looping, ids zero, out of range,
+  respelled or not integers, arrows glued or replaced, CRLF line ends,
+  comments, header m +- 1 or n raised past the dense route, a missing
+  final newline;
 - `forbidden` plain and `--machine` on seeded small split graphs whose
   clique and independent ids are shuffled together;
 - `oracle` plain and `--machine` on seeded graphs with at most 9 vertices,
@@ -304,6 +310,21 @@ def _fuzz_graph_files(seeds: str, directory: Path) -> list[Path]:
     return files
 
 
+def _fuzz_orientation_files(seeds: str, directory: Path) -> list[Path]:
+    sys.path.insert(0, str(REPO / "tests"))
+    from graph_texts import ORIENTATION_EDITS, orientation_text
+
+    files = []
+    for seed in (int(s) for s in seeds.split(",")):
+        rng = random.Random(seed)
+        for edit in ORIENTATION_EDITS:
+            for idx in range(CANONICAL_GRAPHS_PER_EDIT):
+                path = directory / f"seed{seed}-{edit}-{idx}.orient"
+                path.write_bytes(orientation_text(rng, edit).encode())
+                files.append(path)
+    return files
+
+
 def _split_graph_files(seeds: str, directory: Path) -> list[Path]:
     """Split graphs on at most 16 vertices: a clique, an independent set and
     random edges between them, with the ids of the two sides interleaved."""
@@ -389,6 +410,7 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
         path.write_bytes(text.encode())
         argvs.append(["recognize", str(path)])
     argvs += [["recognize", str(path)] for path in _fuzz_graph_files(seeds, inputs)]
+    argvs += [["check-orientation", str(path)] for path in _fuzz_orientation_files(seeds, inputs)]
     for idx, text in enumerate(BAD_ORIENTATIONS):
         path = inputs / f"bad{idx:02d}.orient"
         path.write_bytes(text.encode())

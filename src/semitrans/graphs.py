@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import compress
-from operator import lt
+from itertools import compress, groupby
+from operator import lt, or_
 
 from .matrices import BinaryMatrix, GraphFormatError, read_header
 
@@ -215,6 +215,26 @@ def _spaced(line: str) -> list[str] | None:
     return tokens if " ".join(tokens) == line else None
 
 
+def _bulk_header(text: str) -> tuple[int, int, int] | None:
+    """n, m and the offset after the first line if that line is "n m\\n"
+    with one space, both values nonnegative, else None."""
+    eol = text.find("\n")
+    header = _spaced(text[:eol]) if eol >= 0 else None
+    if header is None or len(header) != 2:
+        return None
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:  # not a number, or more digits than int() reads
+        return None
+    return (n, m, eol + 1) if n >= 0 and m >= 0 else None
+
+
+def _dense(n: int, text: str) -> bool:
+    """Whether the run reader's id table and transpose cells, each about n²
+    bits or characters, are small beside the text itself."""
+    return (n + 1) ** 2 <= 16 * len(text)
+
+
 def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
     """Read a graph file in the layout `format_graph` writes, in bulk.
 
@@ -227,25 +247,19 @@ def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
     the line loop raises on the same header (the masks list of a header
     asking for too many vertices).
 
-    Edge lines are read in chunks of about _CHUNK characters, each with the
-    line loop's checks done in bulk: the layout by deleting the digits, ids
-    through one int() per distinct token, the range by min and max, u < v
-    (which excludes self-loops) by one map, the edge count by lines.  A
-    duplicate edge sets no new bit, so the masks' popcounts then sum to less
-    than 2m.
+    The edge lines take one of two routes, chosen once per file.  A dense
+    file, whose (n + 1)² is at most 16 times its length, goes to
+    `_read_runs`, which sums each run of lines sharing u into one row of
+    upper bits and reads the lower bits off the transpose.  Any other file
+    goes to `_read_edge_lines`, which ORs each edge into both masks, so
+    that nothing it holds grows with n² beyond the masks themselves.
     """
-    eol = text.find("\n")
-    header = _spaced(text[:eol]) if eol >= 0 else None
-    if header is None or len(header) != 2:
+    head = _bulk_header(text)
+    if head is None:
         return None
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:  # not a number, or more digits than int() reads
-        return None
-    if n < 0 or m < 0:
-        return None
+    n, m, start = head
     pinned = None
-    stop = text.find("C", eol)
+    stop = text.find("C", start)
     if stop < 0:
         stop = len(text)
     else:  # no edge line holds a "C", so it must start the one final line
@@ -259,37 +273,135 @@ def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
             pinned = _pins(pins, n)
         except ValueError:
             return None
-    masks = [0] * (n + 1)  # masks[u] gets bit v, not v - 1: shifted once at the end
+    if _dense(n, text):
+        upper = _read_runs(text, start, stop, n, m, " ")
+        if upper is None:
+            return None
+        final = tuple(map(or_, upper, _transpose(upper)))
+    else:
+        masks = [0] * (n + 1)  # masks[u] gets bit v, not v - 1: shifted once at the end
+        if _read_chunks(text, start, stop, lambda chunk: _read_edge_lines(chunk, n, masks)) != m:
+            return None
+        final = tuple(mask >> 1 for mask in masks)
+        if sum(map(int.bit_count, final)) != 2 * m:
+            return None
+    return Graph._from_masks(n, final), pinned
+
+
+class _IdBits(dict):
+    """Token -> 1 << (id - 1), filled on first lookup by one int() per new
+    token; ValueError for a token int() cannot read or an id outside 1..n."""
+
+    __slots__ = ("n",)
+
+    def __missing__(self, token: str) -> int:
+        v = int(token)
+        if not 1 <= v <= self.n:
+            raise ValueError(token)
+        bit = self[token] = 1 << (v - 1)
+        return bit
+
+
+def _read_runs(text: str, start: int, stop: int, n: int, m: int,
+               sep: str) -> list[int] | None:
+    """rows[u] with bit v-1 set for every line "u" + sep + "v\\n" of
+    text[start:stop], if there are m lines, no line repeats a pair and, for
+    sep " ", each pair has u < v; else None.
+
+    Lines are read by `_add_runs` in chunks of about _CHUNK characters.
+    Each run of lines that share the token u costs one sum of the bits of
+    its v tokens, added to rows[u].  A repeated v carries into a higher bit,
+    and a sum of powers of two has as many set bits as terms only when they
+    are all distinct, so popcounts summing to m rule repeats out, within a
+    run and across runs.
+    """
+    table = _IdBits()
+    table.n = n
+    rows = [0] * (n + 1)
+    count = _read_chunks(text, start, stop, lambda chunk: _add_runs(chunk, sep, table.__getitem__, rows))
+    if count != m or sum(map(int.bit_count, rows)) != m:
+        return None
+    return rows
+
+
+def _read_chunks(text: str, start: int, stop: int, read) -> int | None:
+    """The sum of read(chunk) over text[start:stop] cut after line ends into
+    chunks of about _CHUNK characters, or None once read returns None.
+    Each chunk's token lists die with its read call, so one chunk's are held
+    at once."""
     count = 0
-    start = eol + 1
     while start < stop:
         end = text.find("\n", start + _CHUNK, stop) + 1 or stop
-        lines = _read_edge_lines(text[start:end], n, masks)
+        lines = read(text[start:end])
         if lines is None:
             return None
         count += lines
         start = end
-    final = tuple(mask >> 1 for mask in masks)
-    if count != m or sum(map(int.bit_count, final)) != 2 * m:
+    return count
+
+
+def _chunk_tokens(chunk: str, sep: str) -> list[str] | None:
+    """The tokens of chunk if it is whole lines "u" + sep + "v\\n" with u
+    and v ASCII digits, else None.
+
+    A chunk that ends in "\\n", whose residue after deleting the digits is
+    sep + "\\n" per line and which holds sep once per line, is lines of
+    digits, sep, digits with a side perhaps empty; the token count then
+    finds the empty side (such as " \\n", "\\n " or a leading space).
+    Without the final "\\n" the last line would have a third, uncounted
+    digit slot that could hide a moved space."""
+    lines = chunk.count("\n")
+    if (chunk[-1:] != "\n" or chunk.translate(_NOT_DIGITS) != (sep + "\n") * lines
+            or chunk.count(sep) != lines):
         return None
-    return Graph._from_masks(n, final), pinned
+    tokens = chunk.split()
+    return tokens if len(tokens) == (len(sep.split()) + 2) * lines else None
+
+
+def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
+    """Add the bits of each run's v tokens to rows[u] and return the number
+    of lines, or None if a line breaks the layout, holds an id bit() rejects
+    or, for sep " ", has u >= v.  The order test masks a run's sum with the
+    bits at or below u's; a sum that carried past them is caught by the
+    popcounts."""
+    tokens = _chunk_tokens(chunk, sep)
+    if tokens is None:
+        return None
+    per = len(sep.split()) + 2  # tokens per line
+    ordered = sep == " "
+    vs = tokens[per - 1::per]
+    a = 0
+    try:
+        for u, run in groupby(tokens[::per]):
+            b = a + len(list(run))
+            ubit = bit(u)
+            row = sum(map(bit, vs[a:b]))
+            if ordered and row & ((ubit << 1) - 1):
+                return None
+            rows[ubit.bit_length()] += row
+            a = b
+    except ValueError:
+        return None
+    return len(vs)
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """cols[v] with bit u-1 set for every rows[u] with bit v-1 set, for rows
+    whose bits all lie below len(rows) - 1 and rows[0] == 0.  One string of
+    n² cells holds row n down to row 1 as n binary digits each, so the cells
+    of column v, every n-th one from cell n - v, are its binary digits."""
+    n = len(rows) - 1
+    spec = f"0{n}b"
+    cells = "".join([format(row, spec) for row in reversed(rows[1:])])
+    return [0] + [int(cells[p::n], 2) for p in range(n - 1, -1, -1)]
 
 
 def _read_edge_lines(chunk: str, n: int, masks: list[int]) -> int | None:
     """OR the edges of whole "u v\\n" lines into masks (bit v of masks[u]) and
     return the number of lines, or None if a line breaks the layout or holds
-    an id that is not in 1..n or not less than the other.  Its token lists
-    die with the call, so one chunk's are held at once.
-
-    A chunk that ends in "\\n" and passes the translate check is lines of
-    digits, one space, digits; the token count then finds an empty side
-    (" \\n", "\\n " or a leading space).  Without the final "\\n" the last
-    line has a third, uncounted digit slot that would hide a moved space."""
-    lines = chunk.count("\n")
-    if chunk[-1:] != "\n" or chunk.translate(_NOT_DIGITS) != " \n" * lines:
-        return None
-    tokens = chunk.split()
-    if len(tokens) != 2 * lines:
+    an id that is not in 1..n or not less than the other."""
+    tokens = _chunk_tokens(chunk, " ")
+    if tokens is None:
         return None
     distinct = set(tokens)
     try:
@@ -305,7 +417,7 @@ def _read_edge_lines(chunk: str, n: int, masks: list[int]) -> int | None:
     for u, v in zip(us, vs):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return lines
+    return len(us)
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")

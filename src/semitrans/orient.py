@@ -35,8 +35,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
+from operator import or_
 
-from .graphs import Graph, bits, format_pairs
+from .graphs import Graph, _bulk_header, _dense, _read_runs, _transpose, bits, format_pairs
 from .matrices import GraphFormatError, SizeGuardError, read_header
 
 
@@ -389,7 +390,26 @@ def oracle_semi_transitive(
 
 
 def parse_orientation(text: str) -> Orientation:
-    """Parse "n m" followed by m arc lines "u > v"."""
+    """Parse "n m" followed by m arc lines "u > v".
+
+    A dense file in the layout `format_orientation` writes ("n m\\n", then
+    "u > v\\n" lines) is read first by the graph parser's run reader, which
+    sums each run of arcs leaving the same u into one out-mask.  Out-masks
+    whose popcounts sum to m rule out repeated arcs.  Every other arc sets
+    two bits of the undirected masks (the out-masks OR their transpose), but
+    two arcs of one edge set two in all and a self-loop sets one, so
+    undirected popcounts summing to 2m rule both out.  Any other file, and
+    every file with an error, is read by the line loop below, the only
+    source of error messages.
+    """
+    head = _bulk_header(text)
+    if head is not None and _dense(head[0], text):
+        n, m, start = head
+        out = _read_runs(text, start, len(text), n, m, " > ")
+        if out is not None:
+            masks = tuple(map(or_, out, _transpose(out)))
+            if sum(map(int.bit_count, masks)) == 2 * m:
+                return Orientation._from_masks(Graph._from_masks(n, masks), tuple(out))
     n, m, lines = read_header(text, "n m")
     if len(lines) != m:
         raise ValueError(f"expected {m} arcs, found {len(lines)}")

@@ -8,7 +8,8 @@ int() accepts (leading zeros, "+", "_", Unicode digits) or rejects, comments
 and "C:" lines glued to their content, lines of one or three tokens, and bad
 header or edge values.  `canonical_graph_text` starts from the exact layout
 `format_graph` writes, the one the parser reads in bulk, and applies at most
-one edit that keeps that layout nearly intact.  `NEGATIVE_HEADERS` and
+one edit that keeps that layout nearly intact.  `orientation_text` does the
+same for `format_orientation`'s layout.  `NEGATIVE_HEADERS` and
 `line_number` serve the error tests of all three text formats.
 """
 
@@ -71,14 +72,16 @@ def _mutate(rng: random.Random, lines: list[list[str]]):
         lines.insert(at, [])
 
 
-def mutated_graph_text(rng: random.Random, max_n: int = 8) -> str:
+def mutated_graph_text(rng: random.Random, max_n: int = 8, isolated: int = 0) -> str:
     """One graph file: a valid random graph with an optional "C:" line at a
     random place, mutated one to three times and rendered with random
-    separators (sometimes without a final line end)."""
+    separators (sometimes without a final line end).  The header counts
+    `isolated` more vertices than the graph touches; the random draws do not
+    depend on it."""
     n = rng.randint(0, max_n)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
     rng.shuffle(pairs)
-    lines = [[str(n), str(len(pairs))]] + [[str(u), str(v)] for u, v in pairs]
+    lines = [[str(n + isolated), str(len(pairs))]] + [[str(u), str(v)] for u, v in pairs]
     if n and rng.random() < 0.4:
         clique = rng.sample(range(1, n + 1), rng.randint(1, n))
         lines.insert(rng.randint(1, len(lines)), ["C:", *map(str, clique)])
@@ -118,7 +121,7 @@ def line_number(message: str):
     return int(head[5:]) if sep and head.startswith("line ") else None
 
 
-def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
+def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8, isolated: int = 0) -> str:
     """A random graph in `format_graph`'s layout ("n m", the edges "u v" in
     sorted order, maybe a final "C:" line, every line ended by "\\n") with
     one edit from CANONICAL_EDITS applied; "none" leaves it unedited.  An
@@ -126,7 +129,9 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
     "regroup" moves one space or line end past the digits beside it, which
     keeps the order of spaces and line ends.  "header-respelled" and
     "pin-respelled" give one header or "C:" id a leading zero or a "+".  Any
-    edit but "none" may also drop the final line end."""
+    edit but "none" may also drop the final line end.  The header counts
+    `isolated` more vertices than the graph touches, and "above-n" and
+    "pin-range" go past that count; the random draws do not depend on it."""
     n = rng.randint(1 if edit.startswith("pin") else 0, max_n)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
     lines = [[str(u), str(v)] for u, v in pairs]
@@ -144,7 +149,7 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
     elif edit == "zero":
         lines[at][0] = "0"
     elif edit == "above-n":
-        lines[at][1] = str(n + 1)
+        lines[at][1] = str(n + isolated + 1)
     elif edit == "leading-zero":
         side = rng.randrange(2)
         lines[at][side] = "0" + lines[at][side]
@@ -158,11 +163,11 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
     elif edit == "pin-repeat":
         pins.append(rng.choice(pins))
     elif edit == "pin-range":
-        pins[rng.randrange(len(pins))] = rng.choice(("0", str(n + 1)))
+        pins[rng.randrange(len(pins))] = rng.choice(("0", str(n + isolated + 1)))
     elif edit == "pin-respelled":
         spot = rng.randrange(len(pins))
         pins[spot] = rng.choice("0+") + pins[spot]
-    header = [str(n), str(m)]
+    header = [str(n + isolated), str(m)]
     if edit == "header-respelled":
         side = rng.randrange(2)
         header[side] = rng.choice("0+") + header[side]
@@ -194,6 +199,71 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
             while hi + 1 < len(text) and text[hi + 1].isdigit():
                 hi += 1
             text = text[:idx] + text[idx + 1:hi + 1] + text[idx] + text[hi + 1:]
+    if edit == "no-final-newline" or (edit != "none" and rng.random() < 0.3):
+        text = text[:-1] if text.endswith("\n") else text
+    return text
+
+
+ORIENTATION_EDITS = (
+    "none", "shuffled", "repeat", "both-ways", "self-loop", "zero", "above-n", "no-spaces",
+    "double-space", "leading-zero", "bad-id", "bad-arrow", "crlf", "comment", "m+1", "m-1",
+    "no-final-newline", "sparse",
+)
+
+
+def orientation_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
+    """A random orientation in `format_orientation`'s layout ("n m", the arcs
+    "u > v" sorted by u, then v) with one edit from ORIENTATION_EDITS
+    applied; "none" leaves it unedited.  "shuffled" puts the arcs in random
+    order, "repeat" and "both-ways" add a copy of an arc or its reverse
+    (counted in m), "no-spaces" writes one arc "u>v", "bad-id" puts a token
+    int() rejects in place of an id, "bad-arrow" writes one arc with another
+    token between its ids (such as "1>2", whose digits fill the layout), "crlf" ends one line
+    or every line with "\\r\\n", "comment" adds a "#" line anywhere, and
+    "sparse" counts 200 more vertices than the arcs touch.
+    An edit that needs an arc the file lacks adds one.  Any edit but "none"
+    may also drop the final line end."""
+    n = rng.randint(0, max_n)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    arcs.sort()
+    if edit in ("repeat", "both-ways", "self-loop", "zero", "above-n", "no-spaces", "double-space",
+                "leading-zero", "bad-id", "bad-arrow") and not arcs:
+        n = max(n, 2)
+        arcs = [(1, 2)]
+    lines = [[str(u), str(v)] for u, v in arcs]
+    at = rng.randrange(len(lines)) if lines else 0
+    if edit == "shuffled":
+        rng.shuffle(lines)
+    elif edit == "repeat":
+        lines.insert(rng.randint(0, len(lines)), list(lines[at]))
+    elif edit == "both-ways":
+        lines.insert(rng.randint(0, len(lines)), lines[at][::-1])
+    elif edit == "self-loop":
+        lines[at][1] = lines[at][0]
+    elif edit == "zero":
+        lines[at][rng.randrange(2)] = "0"
+    elif edit == "above-n":
+        lines[at][rng.randrange(2)] = str(n + 1)
+    elif edit == "leading-zero":
+        side = rng.randrange(2)
+        lines[at][side] = "0" + lines[at][side]
+    elif edit == "bad-id":
+        lines[at][rng.randrange(2)] = rng.choice(BAD_TOKENS)
+    m = len(lines) + {"m+1": 1, "m-1": -1}.get(edit, 0)
+    body = [f"{n + 200 * (edit == 'sparse')} {m}\n"] + [" > ".join(toks) + "\n" for toks in lines]
+    if edit == "no-spaces":
+        body[at + 1] = ">".join(lines[at]) + "\n"
+    elif edit == "double-space":
+        body[at + 1] = "  >  ".join(lines[at]) + "\n"
+    elif edit == "bad-arrow":
+        body[at + 1] = rng.choice((" < ", " >> ", " - ", " ", " 1>2 ")).join(lines[at]) + "\n"
+    elif edit == "crlf":
+        for spot in range(len(body)) if rng.random() < 0.5 else [rng.randrange(len(body))]:
+            body[spot] = body[spot][:-1] + "\r\n"
+    elif edit == "comment":
+        body.insert(rng.randint(0, len(body)), "# c " + str(rng.randint(0, 9)) + "\n")
+    text = "".join(body)
     if edit == "no-final-newline" or (edit != "none" and rng.random() < 0.3):
         text = text[:-1] if text.endswith("\n") else text
     return text

@@ -191,6 +191,50 @@ def reference_parse_graph(text: str):
     return Graph(n, edges), pinned
 
 
+def reference_parse_orientation(text: str):
+    """(n, undirected masks, out-masks) from an orientation file, or the
+    message of the first error: a copy of the header reader and the line
+    loop of `parse_orientation` as they stood before its bulk pass, kept
+    apart from the library."""
+    lines = [(line_no, line) for line_no, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and line[0] != "#"]
+    if not lines:
+        return "line 1: empty input"
+    head_no, head = lines[0]
+    parts = head.split()
+    if len(parts) != 2:
+        return f"line {head_no}: expected header 'n m'"
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        return f"line {head_no}: non-integer header"
+    if n < 0 or m < 0:
+        return f"line {head_no}: negative header value"
+    del lines[0]
+    if len(lines) != m:
+        return f"expected {m} arcs, found {len(lines)}"
+    masks = [0] * (n + 1)
+    out = [0] * (n + 1)
+    for line_no, ln in lines:
+        toks = ln.replace(">", " > ").split()
+        if len(toks) != 3 or toks[1] != ">":
+            return f"line {line_no}: expected 'u > v'"
+        try:
+            u, v = int(toks[0]), int(toks[2])
+        except ValueError:
+            return f"line {line_no}: non-integer vertex id"
+        if u == v:
+            return f"line {line_no}: self-loop at {u}"
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"line {line_no}: vertex out of range 1..{n}"
+        if masks[u] >> (v - 1) & 1:
+            return f"line {line_no}: edge {(min(u, v), max(u, v))} oriented twice"
+        masks[u] |= 1 << (v - 1)
+        masks[v] |= 1 << (u - 1)
+        out[u] |= 1 << (v - 1)
+    return n, tuple(masks), tuple(out)
+
+
 def format_graph_reference(g: Graph, clique=None) -> str:
     """The graph file text, written the plain way: the header, every edge of
     the sorted edge set on its own line, then the optional "C:" line."""

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+import semitrans.graphs as graphs_module
 from semitrans import (
     Graph,
     GraphFormatError,
@@ -16,7 +17,7 @@ from semitrans import (
     split_partition,
     twin_reduce,
 )
-from semitrans.generate import forbidden_configuration, split_graph_from_types
+from semitrans.generate import GenSpec, forbidden_configuration, generate, split_graph_from_types
 from semitrans.graphs import _parse_canonical, bits
 
 from graph_texts import CANONICAL_EDITS, canonical_graph_text, line_number, mutated_graph_text
@@ -118,26 +119,29 @@ def test_parse_errors(text, fragment):
 RESPELLED = ("none", "leading-zero", "header-respelled", "pin-respelled")  # edits that keep every value
 
 
-def _parser_inputs():
+def _parser_inputs(isolated=0):
     """(kind, text): seeded mutated files (odd line ends and whitespace,
     respelled and bad ids, glued comments and "C:" lines, wrong token counts,
     bad values), then files in format_graph's layout with one edit each, and
-    numerals longer than int() reads by default (4300 digits)."""
+    (without isolated vertices) numerals longer than int() reads by default
+    (4300 digits).  The headers count `isolated` vertices more than the
+    graphs touch."""
     rng = random.Random(8)
     for _ in range(3000):
-        yield "mutated", mutated_graph_text(rng)
+        yield "mutated", mutated_graph_text(rng, isolated=isolated)
     rng = random.Random(11)
     for edit in CANONICAL_EDITS:
         for _ in range(60):
-            yield edit, canonical_graph_text(rng, edit)
-    long = "9" * 5000
-    for text in (f"{long} 0\n", f"3 {long}\n", f"3 1\n1 {long}\n", f"3 0\nC: {long}\n"):
-        yield "long", text
+            yield edit, canonical_graph_text(rng, edit, isolated=isolated)
+    if not isolated:
+        long = "9" * 5000
+        for text in (f"{long} 0\n", f"3 {long}\n", f"3 1\n1 {long}\n", f"3 0\nC: {long}\n"):
+            yield "long", text
 
 
-def test_parse_matches_reference_parser():
+def _check_against_reference_parser(inputs):
     outcomes = set()
-    for kind, text in _parser_inputs():
+    for kind, text in inputs:
         expected = reference_parse_graph(text)
         try:
             got = parse_graph_pinned(text)
@@ -156,6 +160,16 @@ def test_parse_matches_reference_parser():
         else:
             assert bulk in (None, expected), text
     assert len(outcomes) >= 12, outcomes  # accepted files and most error branches
+
+
+def test_parse_matches_reference_parser():
+    _check_against_reference_parser(_parser_inputs())
+
+
+def test_parse_matches_reference_parser_on_sparse_files():
+    # 200 isolated vertices make every fuzz file sparse: (n + 1)² is above
+    # 16 times its length, so the bulk pass takes the per-edge route
+    _check_against_reference_parser(_parser_inputs(isolated=200))
 
 
 def test_canonical_pass_reads_format_graph_output():
@@ -199,6 +213,29 @@ def test_canonical_pass_allocates_nothing_sized_by_n_beyond_the_masks():
     bulk = _peak_bytes(_parse_canonical, "20000 1\n1 2\n")
     line_loop = _peak_bytes(parse_graph_pinned, "20000 1\r\n1 2\r\n")
     assert bulk <= 3 * line_loop, (bulk, line_loop)
+
+
+def test_sparse_route_allocates_like_the_line_loop():
+    # 10000 distinct ids up to n = 20000: an id table or cells sized by n²
+    # would take far more than the masks the line loop builds
+    text = "20000 10000\n" + "".join(f"{i} {i + 10000}\n" for i in range(1, 10001))
+    assert _parse_canonical(text) == parse_graph_pinned(text.replace("\n", "\r\n"))
+    bulk = _peak_bytes(_parse_canonical, text)
+    line_loop = _peak_bytes(parse_graph_pinned, text.replace("\n", "\r\n"))
+    assert bulk <= 3 * line_loop, (bulk, line_loop)
+
+
+def test_dense_route_allocates_no_more_than_the_sparse_one(monkeypatch):
+    # the benchmark's `tall` shape (k=240, t=20) at its seed-1 stream: one
+    # chunk's tokens, the id table and the n² cells, against the per-edge route
+    p = next(iter(generate(GenSpec(k=240, t=20, seed=9, mode="planted-yes"), 1)))
+    text = format_graph(p.graph)
+    assert graphs_module._dense(p.graph.n, text)
+    dense = _peak_bytes(_parse_canonical, text)
+    monkeypatch.setattr(graphs_module, "_dense", lambda n, text: False)
+    assert _parse_canonical(text) == (p.graph, None)
+    sparse = _peak_bytes(_parse_canonical, text)
+    assert dense <= sparse, (dense, sparse)
 
 
 def test_format_round_trip():

@@ -21,15 +21,17 @@ from semitrans import (
     twin_reduce,
 )
 from semitrans.generate import GenSpec, forbidden_configuration, generate
+from semitrans.graphs import _bulk_header, _dense, _read_runs
 
 from oracles import (
     assert_shortcut_witness,
     has_cycle_by_peeling,
     naive_semi_transitive_oracle,
     random_graph,
+    reference_parse_orientation,
     shortcut_by_path_enumeration,
 )
-from graph_texts import NEGATIVE_HEADERS, line_number
+from graph_texts import NEGATIVE_HEADERS, ORIENTATION_EDITS, line_number, orientation_text
 from strategies import graphs
 
 
@@ -371,3 +373,29 @@ def test_parse_orientation_errors():
             parse_orientation(text)
         assert str(exc.value) == message, text
         assert getattr(exc.value, "line_no", None) == line_number(message), text
+
+
+DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def test_parse_orientation_matches_reference_parser():
+    rng = random.Random(12)
+    outcomes = set()
+    for edit in ORIENTATION_EDITS:
+        for _ in range(150):
+            text = orientation_text(rng, edit)
+            expected = reference_parse_orientation(text)
+            try:
+                o = parse_orientation(text)
+                got = (o.graph.n, o.graph.masks, o.out)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, text
+            outcomes.add(expected.split(": ", 1)[-1].translate(DROP_DIGITS) if isinstance(expected, str) else "ok")
+            # the run reader takes every dense file in the layout, in any arc
+            # order and with ids respelled
+            if edit in ("none", "shuffled", "leading-zero") and text.endswith("\n"):
+                n, m, start = _bulk_header(text)
+                if _dense(n, text):
+                    assert tuple(_read_runs(text, start, len(text), n, m, " > ")) == expected[2], text
+    assert len(outcomes) >= 8, outcomes  # accepted files and every error branch of the line loop
