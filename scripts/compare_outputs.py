@@ -34,7 +34,9 @@ its own interpreter:
   out-of-range edge, a leading zero, header m +- 1, a missing final newline,
   a trailing space, a CR, a tab, a space or line end moved past the digits
   beside it, a moved, doubled, repeating, out-of-range or empty `C:` line),
-  some of them also without the final newline;
+  some of them also without the final newline; then the same kinds of files
+  again with 200 isolated vertices added to n, which makes them sparse, so
+  the line loop reads the ones the bulk pass would take if they were dense;
 - `check-orientation` on seeded files in `format_orientation`'s layout with
   one edit each (`orientation_text` in `tests/graph_texts.py`): arcs
   shuffled, repeated, reversed or looping, ids zero, out of range,
@@ -116,6 +118,7 @@ MATRIX_KINDS = ("random", "duplicates", "intervals", "arcs", "cycle", "triangle"
 MATRICES_PER_SEED = 180
 FUZZ_GRAPHS_PER_SEED = 300
 CANONICAL_GRAPHS_PER_EDIT = 5    # per seed, files in format_graph's layout with one edit each
+SPARSE_ISOLATED = 200  # isolated vertices that make a fuzz file sparse, so the line loop reads it
 SPLIT_GRAPHS_PER_SEED = 120      # small split graphs for `forbidden`
 ORACLE_GRAPHS_PER_SEED = 150     # graphs on at most 9 vertices for `oracle`
 DIFFTEST_SPECS = (
@@ -298,15 +301,16 @@ def _fuzz_graph_files(seeds: str, directory: Path) -> list[Path]:
     files = []
     for seed in (int(s) for s in seeds.split(",")):
         rng = random.Random(seed)
-        for idx in range(FUZZ_GRAPHS_PER_SEED):
-            path = directory / f"seed{seed}-{idx:03d}.graph"
-            path.write_bytes(mutated_graph_text(rng).encode())
-            files.append(path)
-        for edit in CANONICAL_EDITS:
-            for idx in range(CANONICAL_GRAPHS_PER_EDIT):
-                path = directory / f"seed{seed}-{edit}-{idx}.graph"
-                path.write_bytes(canonical_graph_text(rng, edit).encode())
+        for tag, isolated in (("", 0), ("-sparse", SPARSE_ISOLATED)):
+            for idx in range(FUZZ_GRAPHS_PER_SEED):
+                path = directory / f"seed{seed}{tag}-{idx:03d}.graph"
+                path.write_bytes(mutated_graph_text(rng, isolated=isolated).encode())
                 files.append(path)
+            for edit in CANONICAL_EDITS:
+                for idx in range(CANONICAL_GRAPHS_PER_EDIT):
+                    path = directory / f"seed{seed}{tag}-{edit}-{idx}.graph"
+                    path.write_bytes(canonical_graph_text(rng, edit, isolated=isolated).encode())
+                    files.append(path)
     return files
 
 

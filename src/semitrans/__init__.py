@@ -19,9 +19,6 @@ from .graphs import (
 from .matrices import (
     BinaryMatrix,
     SizeGuardError,
-    check_c1p_under_perm,
-    check_circ_under_perm,
-    enumerate_valid_perms,
     has_circular_ones,
     has_consecutive_ones,
     parse_matrix,
@@ -50,13 +47,10 @@ from .recognition import (
     decide_labeling,
     enumerate_labelings_oracle,
     find_forbidden_subgraph,
-    intersection_matrix,
     prune_trivial_columns,
     recognize,
     render_decision,
-    shape_of,
     validate_labeling,
-    validate_matrix_form,
 )
 from .generate import (
     GenSpec,

@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import compress, groupby
-from operator import lt, or_
+from operator import or_
 
 from .matrices import BinaryMatrix, GraphFormatError, read_header
 
@@ -146,7 +146,7 @@ def parse_graph_pinned(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     and at most one line "C: i1 i2 ..." anywhere after the header (edge lines
     may follow it).  Blank lines and lines starting with "#" are ignored.
 
-    A file in the layout `format_graph` writes is read in bulk by
+    A dense file in the layout `format_graph` writes is read in bulk by
     `_parse_canonical`.  Every other file, and every file with an error, is
     read by `read_header` and the line loop below, which give the same result
     and are the only source of error messages.
@@ -236,26 +236,24 @@ def _dense(n: int, text: str) -> bool:
 
 
 def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
-    """Read a graph file in the layout `format_graph` writes, in bulk.
+    """Read a dense graph file in the layout `format_graph` writes, in bulk.
 
     The layout is "n m\\n", then m lines "u v\\n", then optionally one final
     line "C: i1 ... ik\\n", with one space between tokens.  The edge ids are
     ASCII digits; every number is read by int(), as the line loop reads it,
     so a spelling such as a leading zero is taken and the values are checked.
-    Returns what the line loop returns for the same text, or None for any
-    other text and for every text the line loop rejects; it raises only where
-    the line loop raises on the same header (the masks list of a header
-    asking for too many vertices).
+    Returns what the line loop returns for the same text, or None for a
+    sparse file, for any other text and for every text the line loop
+    rejects.
 
-    The edge lines take one of two routes, chosen once per file.  A dense
-    file, whose (n + 1)² is at most 16 times its length, goes to
-    `_read_runs`, which sums each run of lines sharing u into one row of
-    upper bits and reads the lower bits off the transpose.  Any other file
-    goes to `_read_edge_lines`, which ORs each edge into both masks, so
-    that nothing it holds grows with n² beyond the masks themselves.
+    A file is dense when its (n + 1)² is at most 16 times its length.  Then
+    `_read_runs` sums each run of lines sharing u into one row of upper bits,
+    the lower bits are read off the transpose, and the id table and the n²
+    transpose cells are small beside the text.  A sparse file is left to the
+    line loop.
     """
     head = _bulk_header(text)
-    if head is None:
+    if head is None or not _dense(head[0], text):
         return None
     n, m, start = head
     pinned = None
@@ -273,19 +271,10 @@ def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
             pinned = _pins(pins, n)
         except ValueError:
             return None
-    if _dense(n, text):
-        upper = _read_runs(text, start, stop, n, m, " ")
-        if upper is None:
-            return None
-        final = tuple(map(or_, upper, _transpose(upper)))
-    else:
-        masks = [0] * (n + 1)  # masks[u] gets bit v, not v - 1: shifted once at the end
-        if _read_chunks(text, start, stop, lambda chunk: _read_edge_lines(chunk, n, masks)) != m:
-            return None
-        final = tuple(mask >> 1 for mask in masks)
-        if sum(map(int.bit_count, final)) != 2 * m:
-            return None
-    return Graph._from_masks(n, final), pinned
+    upper = _read_runs(text, start, stop, n, m, " ")
+    if upper is None:
+        return None
+    return Graph._from_masks(n, tuple(map(or_, upper, _transpose(upper)))), pinned
 
 
 class _IdBits(dict):
@@ -308,66 +297,52 @@ def _read_runs(text: str, start: int, stop: int, n: int, m: int,
     text[start:stop], if there are m lines, no line repeats a pair and, for
     sep " ", each pair has u < v; else None.
 
-    Lines are read by `_add_runs` in chunks of about _CHUNK characters.
-    Each run of lines that share the token u costs one sum of the bits of
-    its v tokens, added to rows[u].  A repeated v carries into a higher bit,
-    and a sum of powers of two has as many set bits as terms only when they
-    are all distinct, so popcounts summing to m rule repeats out, within a
-    run and across runs.
+    text[start:stop] is cut after line ends into chunks of about _CHUNK
+    characters, each read by `_add_runs`; a chunk's token lists die with its
+    call, so one chunk's are held at once.  Each run of lines that share the
+    token u costs one sum of the bits of its v tokens, added to rows[u].  A
+    repeated v carries into a higher bit, and a sum of powers of two has as
+    many set bits as terms only when they are all distinct, so popcounts
+    summing to m rule repeats out, within a run and across runs.
     """
     table = _IdBits()
     table.n = n
     rows = [0] * (n + 1)
-    count = _read_chunks(text, start, stop, lambda chunk: _add_runs(chunk, sep, table.__getitem__, rows))
+    count = 0
+    while start < stop:
+        end = text.find("\n", start + _CHUNK, stop) + 1 or stop
+        lines = _add_runs(text[start:end], sep, table.__getitem__, rows)
+        if lines is None:
+            return None
+        count += lines
+        start = end
     if count != m or sum(map(int.bit_count, rows)) != m:
         return None
     return rows
 
 
-def _read_chunks(text: str, start: int, stop: int, read) -> int | None:
-    """The sum of read(chunk) over text[start:stop] cut after line ends into
-    chunks of about _CHUNK characters, or None once read returns None.
-    Each chunk's token lists die with its read call, so one chunk's are held
-    at once."""
-    count = 0
-    while start < stop:
-        end = text.find("\n", start + _CHUNK, stop) + 1 or stop
-        lines = read(text[start:end])
-        if lines is None:
-            return None
-        count += lines
-        start = end
-    return count
-
-
-def _chunk_tokens(chunk: str, sep: str) -> list[str] | None:
-    """The tokens of chunk if it is whole lines "u" + sep + "v\\n" with u
-    and v ASCII digits, else None.
+def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
+    """Add the bits of each run's v tokens to rows[u] and return the number
+    of lines, or None if chunk is not whole lines "u" + sep + "v\\n" with u
+    and v ASCII digits, if a line holds an id bit() rejects or, for sep " ",
+    if a line has u >= v.
 
     A chunk that ends in "\\n", whose residue after deleting the digits is
     sep + "\\n" per line and which holds sep once per line, is lines of
     digits, sep, digits with a side perhaps empty; the token count then
     finds the empty side (such as " \\n", "\\n " or a leading space).
     Without the final "\\n" the last line would have a third, uncounted
-    digit slot that could hide a moved space."""
+    digit slot that could hide a moved space.  The order test masks a run's
+    sum with the bits at or below u's; a sum that carried past them is
+    caught by the popcounts."""
     lines = chunk.count("\n")
     if (chunk[-1:] != "\n" or chunk.translate(_NOT_DIGITS) != (sep + "\n") * lines
             or chunk.count(sep) != lines):
         return None
-    tokens = chunk.split()
-    return tokens if len(tokens) == (len(sep.split()) + 2) * lines else None
-
-
-def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
-    """Add the bits of each run's v tokens to rows[u] and return the number
-    of lines, or None if a line breaks the layout, holds an id bit() rejects
-    or, for sep " ", has u >= v.  The order test masks a run's sum with the
-    bits at or below u's; a sum that carried past them is caught by the
-    popcounts."""
-    tokens = _chunk_tokens(chunk, sep)
-    if tokens is None:
-        return None
     per = len(sep.split()) + 2  # tokens per line
+    tokens = chunk.split()
+    if len(tokens) != per * lines:
+        return None
     ordered = sep == " "
     vs = tokens[per - 1::per]
     a = 0
@@ -382,7 +357,7 @@ def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
             a = b
     except ValueError:
         return None
-    return len(vs)
+    return lines
 
 
 def _transpose(rows: list[int]) -> list[int]:
@@ -394,30 +369,6 @@ def _transpose(rows: list[int]) -> list[int]:
     spec = f"0{n}b"
     cells = "".join([format(row, spec) for row in reversed(rows[1:])])
     return [0] + [int(cells[p::n], 2) for p in range(n - 1, -1, -1)]
-
-
-def _read_edge_lines(chunk: str, n: int, masks: list[int]) -> int | None:
-    """OR the edges of whole "u v\\n" lines into masks (bit v of masks[u]) and
-    return the number of lines, or None if a line breaks the layout or holds
-    an id that is not in 1..n or not less than the other."""
-    tokens = _chunk_tokens(chunk, " ")
-    if tokens is None:
-        return None
-    distinct = set(tokens)
-    try:
-        ids = dict(zip(distinct, map(int, distinct)))
-    except ValueError:  # more digits than int() reads
-        return None
-    if min(ids.values()) < 1 or max(ids.values()) > n:
-        return None
-    values = list(map(ids.__getitem__, tokens))
-    us, vs = values[::2], values[1::2]
-    if not all(map(lt, us, vs)):
-        return None
-    for u, v in zip(us, vs):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return len(us)
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")

@@ -35,14 +35,16 @@ class DiffReport:
         return not self.disagreements
 
     def timing_quantiles(self) -> dict[str, dict[str, float]]:
+        """Per method, the nearest-rank p50 and p90 (the ceil(q·n)-th
+        smallest of n timings) and the max."""
         out = {}
         for method, xs in self.timings.items():
             if not xs:
                 continue
             s = sorted(xs)
             out[method] = {
-                "p50": s[len(s) // 2],
-                "p90": s[min(len(s) - 1, (len(s) * 9) // 10)],
+                "p50": s[math.ceil(len(s) / 2) - 1],
+                "p90": s[math.ceil(len(s) * 9 / 10) - 1],
                 "max": s[-1],
             }
         return out

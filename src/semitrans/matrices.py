@@ -9,8 +9,7 @@ at position p.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Sequence
-from itertools import permutations
+from collections.abc import Sequence
 
 from .pqtree import PQTree
 
@@ -91,44 +90,11 @@ def format_permutation(perm: tuple[int, ...] | None) -> str:
     return "perm: " + " ".join(str(p) for p in perm)
 
 
-def _check_perm(mtx: BinaryMatrix, perm: Sequence[int]):
-    if sorted(perm) != list(range(1, mtx.m + 1)):
-        raise ValueError("not a permutation of the matrix rows")
-
-
-def _permuted_mask(col: int, perm: Sequence[int]) -> int:
-    out = 0
-    for pos, row in enumerate(perm):
-        if (col >> (row - 1)) & 1:
-            out |= 1 << pos
-    return out
-
-
 def _ones_consecutive(mask: int) -> bool:
     if mask == 0:
         return True
     mask >>= (mask & -mask).bit_length() - 1
     return mask & (mask + 1) == 0
-
-
-def _ones_circular(mask: int, m: int) -> bool:
-    # exactly one circular run of ones (or none at all)
-    full = (1 << m) - 1
-    if mask == 0 or mask == full:
-        return True
-    return _ones_consecutive(mask) or _ones_consecutive(full & ~mask)
-
-
-def check_c1p_under_perm(mtx: BinaryMatrix, perm: Sequence[int]) -> bool:
-    """Literal verifier: every column's ones contiguous under the row order perm."""
-    _check_perm(mtx, perm)
-    return all(_ones_consecutive(_permuted_mask(c, perm)) for c in mtx.columns)
-
-
-def check_circ_under_perm(mtx: BinaryMatrix, perm: Sequence[int]) -> bool:
-    """Literal verifier: every column's ones contiguous modulo wrap-around."""
-    _check_perm(mtx, perm)
-    return all(_ones_circular(_permuted_mask(c, perm), mtx.m) for c in mtx.columns)
 
 
 def has_consecutive_ones(mtx: BinaryMatrix) -> tuple[int, ...] | None:
@@ -184,30 +150,3 @@ def has_circular_ones(mtx: BinaryMatrix) -> tuple[int, ...] | None:
     if mtx.m == 0:
         return ()
     return has_consecutive_ones(tucker_transform(mtx))
-
-
-def enumerate_valid_perms(
-    mtx: BinaryMatrix,
-    mode: str = "circular",
-    extra: Callable[[tuple[int, ...]], bool] | None = None,
-    collect: bool = False,
-    guard: int = 8,
-) -> tuple[int, list[tuple[int, ...]] | None]:
-    """Count (and optionally list) row permutations passing the literal check.
-
-    mode is "consecutive" or "circular"; extra is an optional per-permutation
-    predicate applied on top.  Exhaustive over m! permutations, guarded.
-    """
-    if mode not in ("consecutive", "circular"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mtx.m > guard:
-        raise SizeGuardError(f"m={mtx.m} exceeds the enumeration guard {guard}")
-    checker = check_c1p_under_perm if mode == "consecutive" else check_circ_under_perm
-    count = 0
-    found: list[tuple[int, ...]] | None = [] if collect else None
-    for perm in permutations(range(1, mtx.m + 1)):
-        if checker(mtx, perm) and (extra is None or extra(perm)):
-            count += 1
-            if found is not None:
-                found.append(perm)
-    return count, found

@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from itertools import combinations, permutations
 
 from .graphs import Graph, SplitPartition, bits, format_pairs, neighborhood_matrix, split_partition, vertex_mask
-from .matrices import BinaryMatrix, SizeGuardError, _check_perm, _ones_consecutive, _permuted_mask, reduce_buckets
+from .matrices import BinaryMatrix, SizeGuardError, _ones_consecutive, reduce_buckets
 from .matrices import has_circular_ones  # noqa: F401  not called here; recognize_bench/spans.py traces this name
 from .orient import Orientation, find_shortcut
 from .orient import is_acyclic  # noqa: F401  not called here; recognize_bench/spans.py traces this name
@@ -74,13 +74,6 @@ class Decision(namedtuple("Decision", "semi_transitive labeling orientation refu
     __slots__ = ()
 
 
-def shape_of(p: SplitPartition, labeling: Labeling, v: int) -> Shape | None:
-    """Classify N(v) of an independent vertex under the labeling (None = violation)."""
-    if v not in p.independent:
-        raise ValueError(f"{v} is not an independent vertex of the partition")
-    return _labeling_shapes(p, labeling, neighborhood_matrix(p).columns)[p.independent.index(v)]
-
-
 def _pair_ok(u_shape: Shape, v_shape: Shape) -> int | None:
     """Violated condition number for a shape pair, or None if fine."""
     if u_shape.kind == "empty" or v_shape.kind == "empty":
@@ -133,51 +126,11 @@ def validate_labeling(p: SplitPartition, labeling: Labeling) -> LabelingReport:
     return LabelingReport(not found, found)
 
 
-def validate_matrix_form(mtx: BinaryMatrix, perm: Sequence[int]) -> bool:
-    """Matrix-level validity of a row permutation of a neighborhood matrix:
-    (i) every column circular under perm, and (ii) for every column reading
-    1^a 0^b 1^c (a, b, c >= 1) no other column has ones at all positions
-    a .. a+b+1."""
-    _check_perm(mtx, perm)
-    k = mtx.m
-    permuted = [_permuted_mask(col, perm) for col in mtx.columns]
-    full = (1 << k) - 1
-    zones = []
-    for mask in permuted:
-        if mask == 0 or mask == full:
-            continue
-        if mask & 1 and (mask >> (k - 1)) & 1:
-            comp = full & ~mask
-            if not _ones_consecutive(comp):
-                return False
-            # wrapped column: the zero block plus its two bordering ones
-            a = (comp & -comp).bit_length() - 1
-            b = comp.bit_count()
-            zones.append(((1 << (b + 2)) - 1) << (a - 1))
-        elif not _ones_consecutive(mask):
-            return False
-    # a wrapped column never covers its own zone (the zone interior is its
-    # zero block), so every column may be tested against every zone
-    for zone in zones:
-        for other in permuted:
-            if other & zone == zone:
-                return False
-    return True
-
-
-def intersection_matrix(p: SplitPartition) -> BinaryMatrix:
-    """Characteristic vectors of all pairwise neighborhood intersections.
-
-    k rows in clique order; columns indexed by independent pairs (i, j) with
-    i <= j, labeled with the vertex ids.
-    """
-    masks = neighborhood_matrix(p).columns
-    return intersection_matrix_from_masks(p.k, masks, tuple(p.independent))
-
-
 def intersection_matrix_from_masks(
     k: int, masks: Sequence[int], ids: Sequence[int] | None = None
 ) -> BinaryMatrix:
+    """Characteristic vectors of all pairwise intersections of the k-row
+    masks: one column per pair i <= j, labeled (ids[i], ids[j]) if ids given."""
     cols = tuple([mi & mj for i, mi in enumerate(masks) for mj in masks[i:]])
     labels = None if ids is None else tuple([(a, b) for i, a in enumerate(ids) for b in ids[i:]])
     return BinaryMatrix(k, len(cols), cols, labels)

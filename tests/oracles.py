@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import combinations, permutations
 from operator import and_
 
-from semitrans import BinaryMatrix, Graph, Orientation, orient_by_order
+from semitrans import BinaryMatrix, Graph, Orientation, SizeGuardError, orient_by_order
 from semitrans.graphs import bits, vertex_mask
 from semitrans.pqtree import PQTree
 from semitrans.recognition import Shape, forbidden_types
@@ -280,3 +280,99 @@ def neighborhood_columns_reference(p):
     return tuple(
         sum(1 << r for r, u in enumerate(p.clique) if g.has_edge(u, v)) for v in p.independent
     )
+
+
+# -- literal matrix oracles ---------------------------------------------------
+
+def _check_perm(mtx: BinaryMatrix, perm):
+    if sorted(perm) != list(range(1, mtx.m + 1)):
+        raise ValueError("not a permutation of the matrix rows")
+
+
+def _permuted_mask(col: int, perm) -> int:
+    out = 0
+    for pos, row in enumerate(perm):
+        if (col >> (row - 1)) & 1:
+            out |= 1 << pos
+    return out
+
+
+def _ones_consecutive(mask: int) -> bool:
+    if mask == 0:
+        return True
+    mask >>= (mask & -mask).bit_length() - 1
+    return mask & (mask + 1) == 0
+
+
+def _ones_circular(mask: int, m: int) -> bool:
+    # exactly one circular run of ones (or none at all)
+    full = (1 << m) - 1
+    if mask == 0 or mask == full:
+        return True
+    return _ones_consecutive(mask) or _ones_consecutive(full & ~mask)
+
+
+def check_c1p_under_perm(mtx: BinaryMatrix, perm) -> bool:
+    """Literal verifier: every column's ones contiguous under the row order perm."""
+    _check_perm(mtx, perm)
+    return all(_ones_consecutive(_permuted_mask(c, perm)) for c in mtx.columns)
+
+
+def check_circ_under_perm(mtx: BinaryMatrix, perm) -> bool:
+    """Literal verifier: every column's ones contiguous modulo wrap-around."""
+    _check_perm(mtx, perm)
+    return all(_ones_circular(_permuted_mask(c, perm), mtx.m) for c in mtx.columns)
+
+
+def enumerate_valid_perms(mtx: BinaryMatrix, mode: str = "circular", extra=None, collect: bool = False,
+                          guard: int = 8):
+    """Count (and optionally list) row permutations passing the literal check.
+
+    mode is "consecutive" or "circular"; extra is an optional per-permutation
+    predicate applied on top.  Exhaustive over m! permutations, guarded.
+    """
+    if mode not in ("consecutive", "circular"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mtx.m > guard:
+        raise SizeGuardError(f"m={mtx.m} exceeds the enumeration guard {guard}")
+    checker = check_c1p_under_perm if mode == "consecutive" else check_circ_under_perm
+    count = 0
+    found = [] if collect else None
+    for perm in permutations(range(1, mtx.m + 1)):
+        if checker(mtx, perm) and (extra is None or extra(perm)):
+            count += 1
+            if found is not None:
+                found.append(perm)
+    return count, found
+
+
+def validate_matrix_form(mtx: BinaryMatrix, perm) -> bool:
+    """Matrix-level validity of a row permutation of a neighborhood matrix:
+    (i) every column circular under perm, and (ii) for every column reading
+    1^a 0^b 1^c (a, b, c >= 1) no other column has ones at all positions
+    a .. a+b+1."""
+    _check_perm(mtx, perm)
+    k = mtx.m
+    permuted = [_permuted_mask(col, perm) for col in mtx.columns]
+    full = (1 << k) - 1
+    zones = []
+    for mask in permuted:
+        if mask == 0 or mask == full:
+            continue
+        if mask & 1 and (mask >> (k - 1)) & 1:
+            comp = full & ~mask
+            if not _ones_consecutive(comp):
+                return False
+            # wrapped column: the zero block plus its two bordering ones
+            a = (comp & -comp).bit_length() - 1
+            b = comp.bit_count()
+            zones.append(((1 << (b + 2)) - 1) << (a - 1))
+        elif not _ones_consecutive(mask):
+            return False
+    # a wrapped column never covers its own zone (the zone interior is its
+    # zero block), so every column may be tested against every zone
+    for zone in zones:
+        for other in permuted:
+            if other & zone == zone:
+                return False
+    return True

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-import semitrans.graphs as graphs_module
 from semitrans import (
     Graph,
     GraphFormatError,
@@ -18,7 +17,7 @@ from semitrans import (
     twin_reduce,
 )
 from semitrans.generate import GenSpec, forbidden_configuration, generate, split_graph_from_types
-from semitrans.graphs import _parse_canonical, bits
+from semitrans.graphs import _dense, _parse_canonical, bits
 
 from graph_texts import CANONICAL_EDITS, canonical_graph_text, line_number, mutated_graph_text
 from oracles import (
@@ -149,11 +148,12 @@ def _check_against_reference_parser(inputs):
             got = str(exc)
         assert got == expected, text
         outcomes.add(expected.split(": ", 1)[1].split()[0] if isinstance(expected, str) else "ok")
-        # the bulk pass gives the line loop's result or leaves the text to it,
-        # and it takes every unedited file and every file whose ids are only
-        # respelled, as long as it ends in a line end
+        # the bulk pass gives the line loop's result or leaves the text to it:
+        # it leaves every sparse file, and it takes every unedited dense file
+        # and every one whose ids are only respelled, as long as it ends in a
+        # line end
         bulk = _parse_canonical(text)
-        if isinstance(expected, str):
+        if isinstance(expected, str) or not _dense(expected[0].n, text):
             assert bulk is None, text
         elif kind in RESPELLED and text.endswith("\n"):
             assert bulk == expected, text
@@ -168,7 +168,7 @@ def test_parse_matches_reference_parser():
 
 def test_parse_matches_reference_parser_on_sparse_files():
     # 200 isolated vertices make every fuzz file sparse: (n + 1)² is above
-    # 16 times its length, so the bulk pass takes the per-edge route
+    # 16 times its length, so the bulk pass leaves it to the line loop
     _check_against_reference_parser(_parser_inputs(isolated=200))
 
 
@@ -209,33 +209,35 @@ def _peak_bytes(parse, text):
 
 def test_canonical_pass_allocates_nothing_sized_by_n_beyond_the_masks():
     # a table of 1 << i for every i < n would take ~25 MB here, the masks list 0.16 MB
-    assert _parse_canonical("20000 1\n1 2\n") is not None
-    bulk = _peak_bytes(_parse_canonical, "20000 1\n1 2\n")
-    line_loop = _peak_bytes(parse_graph_pinned, "20000 1\r\n1 2\r\n")
-    assert bulk <= 3 * line_loop, (bulk, line_loop)
+    text = "20000 1\n1 2\n"
+    assert parse_graph_pinned(text) == parse_graph_pinned(text.replace("\n", "\r\n"))
+    lf = _peak_bytes(parse_graph_pinned, text)
+    line_loop = _peak_bytes(parse_graph_pinned, text.replace("\n", "\r\n"))
+    assert lf <= 3 * line_loop, (lf, line_loop)
 
 
 def test_sparse_route_allocates_like_the_line_loop():
     # 10000 distinct ids up to n = 20000: an id table or cells sized by n²
     # would take far more than the masks the line loop builds
     text = "20000 10000\n" + "".join(f"{i} {i + 10000}\n" for i in range(1, 10001))
-    assert _parse_canonical(text) == parse_graph_pinned(text.replace("\n", "\r\n"))
-    bulk = _peak_bytes(_parse_canonical, text)
+    assert parse_graph_pinned(text) == parse_graph_pinned(text.replace("\n", "\r\n"))
+    lf = _peak_bytes(parse_graph_pinned, text)
     line_loop = _peak_bytes(parse_graph_pinned, text.replace("\n", "\r\n"))
-    assert bulk <= 3 * line_loop, (bulk, line_loop)
+    assert lf <= 3 * line_loop, (lf, line_loop)
 
 
-def test_dense_route_allocates_no_more_than_the_sparse_one(monkeypatch):
+def test_dense_route_allocates_no_more_than_the_sparse_one():
     # the benchmark's `tall` shape (k=240, t=20) at its seed-1 stream: one
-    # chunk's tokens, the id table and the n² cells, against the per-edge route
+    # chunk's tokens, the id table and the n² cells, against the line loop
+    # that reads every sparse file
     p = next(iter(generate(GenSpec(k=240, t=20, seed=9, mode="planted-yes"), 1)))
     text = format_graph(p.graph)
-    assert graphs_module._dense(p.graph.n, text)
+    crlf = text.replace("\n", "\r\n")
+    assert _dense(p.graph.n, text)
+    assert _parse_canonical(text) == (p.graph, None) == parse_graph_pinned(crlf)
     dense = _peak_bytes(_parse_canonical, text)
-    monkeypatch.setattr(graphs_module, "_dense", lambda n, text: False)
-    assert _parse_canonical(text) == (p.graph, None)
-    sparse = _peak_bytes(_parse_canonical, text)
-    assert dense <= sparse, (dense, sparse)
+    line_loop = _peak_bytes(parse_graph_pinned, crlf)
+    assert dense <= line_loop, (dense, line_loop)
 
 
 def test_format_round_trip():

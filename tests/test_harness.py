@@ -1,7 +1,7 @@
 import pytest
 
 from semitrans.generate import GenSpec
-from semitrans.harness import METHODS, bench, difftest
+from semitrans.harness import METHODS, DiffReport, bench, difftest
 
 
 def test_difftest_exhaustive_tiny_all_methods():
@@ -17,6 +17,14 @@ def test_difftest_random_agrees():
     assert set(q) == set(METHODS)
     for stats in q.values():
         assert stats["p50"] <= stats["p90"] <= stats["max"]
+
+
+def test_timing_quantiles_are_nearest_rank():
+    report = DiffReport(GenSpec(k=3, t=2), ("recognize",))
+    report.timings["recognize"] = [float(x) for x in (7, 3, 10, 1, 5, 9, 2, 8, 4, 6)]
+    assert report.timing_quantiles() == {"recognize": {"p50": 5.0, "p90": 9.0, "max": 10.0}}
+    report.timings["recognize"] = [4.0, 1.0, 3.0, 2.0, 5.0]
+    assert report.timing_quantiles() == {"recognize": {"p50": 3.0, "p90": 5.0, "max": 5.0}}
 
 
 def test_difftest_single_planted_no_all_reject():

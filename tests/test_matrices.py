@@ -9,9 +9,6 @@ from hypothesis import given, settings
 from semitrans import (
     BinaryMatrix,
     SizeGuardError,
-    check_c1p_under_perm,
-    check_circ_under_perm,
-    enumerate_valid_perms,
     has_circular_ones,
     has_consecutive_ones,
     parse_matrix,
@@ -20,7 +17,13 @@ from semitrans import (
 from semitrans.pqtree import PQTree
 
 from graph_texts import NEGATIVE_HEADERS, line_number
-from oracles import circular_ones_reference, consecutive_ones_reference
+from oracles import (
+    check_c1p_under_perm,
+    check_circ_under_perm,
+    circular_ones_reference,
+    consecutive_ones_reference,
+    enumerate_valid_perms,
+)
 from strategies import binary_matrices
 
 

@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,39 @@ def test_benchmark_trace_hooks_resolve():
     for module_name, attr, _, _ in targets:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
     assert callable(getattr(PQTree, "reduce", None))
+
+
+def _references(tree: ast.AST, outside=frozenset()):
+    """Every name a module's code uses: names, attributes, imported names and
+    the words of string constants (such as code run in a child interpreter),
+    leaving out docstrings and uses inside the definition of the name itself."""
+    if isinstance(tree, ast.Expr) and isinstance(tree.value, ast.Constant):
+        return
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        outside = outside | {tree.name}
+    if isinstance(tree, ast.Name):
+        names = [tree.id]
+    elif isinstance(tree, ast.Attribute):
+        names = [tree.attr]
+    elif isinstance(tree, ast.alias):
+        names = [tree.name]
+    elif isinstance(tree, ast.Constant) and isinstance(tree.value, str):
+        names = re.findall(r"[A-Za-z_]\w*", tree.value)
+    else:
+        names = []
+    yield from (name for name in names if name not in outside)
+    for child in ast.iter_child_nodes(tree):
+        yield from _references(child, outside)
+
+
+def test_every_export_has_a_library_caller():
+    # an export that only tests use belongs in the tests
+    files = [f for f in (ROOT / "src" / "semitrans").glob("*.py") if f.name != "__init__.py"]
+    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "recognize_bench").glob("*.py")]
+    used = set()
+    for f in files:
+        used.update(_references(ast.parse(f.read_text())))
+    assert sorted(set(semitrans.__all__) - used) == []
 
 
 def test_cli_import_loads_no_heavy_modules():

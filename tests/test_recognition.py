@@ -15,12 +15,10 @@ from semitrans import (
     construct_orientation,
     decide_labeling,
     enumerate_labelings_oracle,
-    enumerate_valid_perms,
     find_forbidden_subgraph,
     find_shortcut,
     has_circular_ones,
     induced_subgraph,
-    intersection_matrix,
     is_acyclic,
     is_semi_transitive_orientation,
     neighborhood_matrix,
@@ -28,18 +26,22 @@ from semitrans import (
     prune_trivial_columns,
     recognize,
     render_decision,
-    shape_of,
     split_partition,
     validate_labeling,
-    validate_matrix_form,
 )
 from semitrans.generate import (
     GenSpec, forbidden_configuration, generate, planted_yes_masks, split_graph_from_types, stream_for_instance,
 )
 from semitrans.graphs import bits, format_graph, normalize_partition, parse_graph_pinned
-from semitrans.recognition import intersection_matrix_from_masks, shapes_under_order
+from semitrans.recognition import _labeling_shapes, intersection_matrix_from_masks, shapes_under_order
 
-from oracles import assert_shortcut_witness, forbidden_subgraph_reference, shape_reference
+from oracles import (
+    assert_shortcut_witness,
+    enumerate_valid_perms,
+    forbidden_subgraph_reference,
+    shape_reference,
+    validate_matrix_form,
+)
 from strategies import split_partitions
 
 
@@ -48,11 +50,20 @@ def interval_system():
     return split_graph_from_types([{1}, {1, 2}, {2, 3}, {3}], 3)
 
 
+def pair_matrix(p):
+    """The intersection matrix of p's neighborhoods, columns labeled by independent pairs."""
+    return intersection_matrix_from_masks(p.k, neighborhood_matrix(p).columns, p.independent)
+
+
+def labeling_shapes(p, labeling):
+    return _labeling_shapes(p, labeling, neighborhood_matrix(p).columns)
+
+
 # -- intersection matrix -----------------------------------------------------
 
 def test_intersection_matrix_columns():
     p = split_graph_from_types([{1}, {1, 2}, {2}], 2)
-    m = intersection_matrix(p)
+    m = pair_matrix(p)
     assert (m.m, m.n) == (3, 3)
     by_label = {lab: m.columns[j] for j, lab in enumerate(m.labels)}
     va, vb = p.independent
@@ -63,20 +74,20 @@ def test_intersection_matrix_columns():
 
 def test_intersection_matrix_no_independent():
     p = split_graph_from_types([set(), set(), set()], 0)
-    m = intersection_matrix(p)
+    m = pair_matrix(p)
     assert (m.m, m.n) == (3, 0)
 
 
 def test_intersection_matrix_column_count():
     p = split_graph_from_types([{1, 2, 3}, {1, 2}, {2, 3}, set()], 3)
-    assert intersection_matrix(p).n == 6  # (t^2 + t) / 2 for t = 3
+    assert pair_matrix(p).n == 6  # (t^2 + t) / 2 for t = 3
 
 
 def test_prune_trivial_columns():
     p = split_graph_from_types([{1}, {2}, {3}], 3)
-    m = intersection_matrix(p)
+    m = pair_matrix(p)
     assert prune_trivial_columns(m).n == 0  # all unit columns
-    q = intersection_matrix(interval_system())
+    q = pair_matrix(interval_system())
     pruned = prune_trivial_columns(q)
     assert pruned.n < q.n
     assert all(c.bit_count() >= 2 for c in pruned.columns)
@@ -85,7 +96,7 @@ def test_prune_trivial_columns():
 
 def test_prune_keeps_heavy_matrix_unchanged():
     p = split_graph_from_types([{1, 2}, {1, 2}, {1, 2}], 2)
-    m = intersection_matrix(p)
+    m = pair_matrix(p)
     assert prune_trivial_columns(m) == m
 
 
@@ -94,25 +105,25 @@ def test_prune_keeps_heavy_matrix_unchanged():
 def test_shape_interval():
     p = split_graph_from_types([set(), {1}, {1}, {1}, set()], 1)
     lab = Labeling(p.clique)
-    assert shape_of(p, lab, p.independent[0]) == Shape("interval", 2, 4)
+    assert labeling_shapes(p, lab)[0] == Shape("interval", 2, 4)
 
 
 def test_shape_wrapped():
     p = split_graph_from_types([{1}, set(), set(), set(), {1}], 1)
     lab = Labeling(p.clique)
-    assert shape_of(p, lab, p.independent[0]) == Shape("wrapped", 1, 5)
+    assert labeling_shapes(p, lab)[0] == Shape("wrapped", 1, 5)
 
 
 def test_shape_violation():
     p = split_graph_from_types([{1}, set(), {1}, set()], 1)
     lab = Labeling(p.clique)
-    assert shape_of(p, lab, p.independent[0]) is None
+    assert labeling_shapes(p, lab)[0] is None
 
 
 def test_shape_empty():
     p = split_graph_from_types([{1}, set()], 2)
     lab = Labeling(p.clique)
-    assert shape_of(p, lab, p.independent[1]) == Shape("empty")
+    assert labeling_shapes(p, lab)[1] == Shape("empty")
 
 
 def test_shapes_under_order_match_reference():
@@ -546,7 +557,7 @@ def test_problem_reduction_equivalence():
         if p.k > 5:
             continue
         have_labeling = enumerate_labelings_oracle(p) is not None
-        count, _ = enumerate_valid_perms(intersection_matrix(p), "circular")
+        count, _ = enumerate_valid_perms(pair_matrix(p), "circular")
         assert have_labeling == (count > 0)
 
 
@@ -554,7 +565,7 @@ def test_every_circular_certificate_yields_valid_labeling():
     # stronger than presence: each certificate permutation, read as clique
     # positions, passes the labeling conditions
     for p in generate(GenSpec(k=4, t=3, mode="exhaustive")):
-        mtx = prune_trivial_columns(intersection_matrix(p))
+        mtx = prune_trivial_columns(pair_matrix(p))
         count, perms = enumerate_valid_perms(mtx, "circular", collect=True)
         for perm in perms[:12]:
             order = tuple(p.clique[r - 1] for r in perm)
@@ -681,7 +692,7 @@ def test_recognized_orientation_follows_the_labeling_rule():
         d = recognize(p)
         assert d.semi_transitive and d.verified
         assert d.orientation.arcs == _arcs_by_the_labeling_rule(p, d.labeling)
-        kinds = {shape_of(p, d.labeling, v).kind for v in p.independent}
+        kinds = {s.kind for s in labeling_shapes(p, d.labeling)}
         seen |= kinds
         if len(kinds) == 1:
             seen.add("only-" + next(iter(kinds)))
