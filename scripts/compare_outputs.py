@@ -41,8 +41,8 @@ its own interpreter:
   one edit each (`orientation_text` in `tests/graph_texts.py`): arcs
   shuffled, repeated, reversed or looping, ids zero, out of range,
   respelled or not integers, arrows glued or replaced, CRLF line ends,
-  comments, header m +- 1 or n raised past the dense route, a missing
-  final newline;
+  comments, header m +- 1 or n raised past the dense route, a graph
+  file's `C:` line appended, a missing final newline;
 - `forbidden` plain and `--machine` on seeded small split graphs whose
   clique and independent ids are shuffled together;
 - `oracle` plain and `--machine` on seeded graphs with at most 9 vertices,

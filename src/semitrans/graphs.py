@@ -215,66 +215,37 @@ def _spaced(line: str) -> list[str] | None:
     return tokens if " ".join(tokens) == line else None
 
 
-def _bulk_header(text: str) -> tuple[int, int, int] | None:
-    """n, m and the offset after the first line if that line is "n m\\n"
-    with one space, both values nonnegative, else None."""
-    eol = text.find("\n")
-    header = _spaced(text[:eol]) if eol >= 0 else None
-    if header is None or len(header) != 2:
-        return None
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:  # not a number, or more digits than int() reads
-        return None
-    return (n, m, eol + 1) if n >= 0 and m >= 0 else None
-
-
 def _dense(n: int, text: str) -> bool:
-    """Whether the run reader's id table and transpose cells, each about n²
+    """Whether the pair reader's id table and transpose cells, each about n²
     bits or characters, are small beside the text itself."""
     return (n + 1) ** 2 <= 16 * len(text)
 
 
 def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
-    """Read a dense graph file in the layout `format_graph` writes, in bulk.
-
-    The layout is "n m\\n", then m lines "u v\\n", then optionally one final
-    line "C: i1 ... ik\\n", with one space between tokens.  The edge ids are
-    ASCII digits; every number is read by int(), as the line loop reads it,
-    so a spelling such as a leading zero is taken and the values are checked.
-    Returns what the line loop returns for the same text, or None for a
-    sparse file, for any other text and for every text the line loop
-    rejects.
-
-    A file is dense when its (n + 1)² is at most 16 times its length.  Then
-    `_read_runs` sums each run of lines sharing u into one row of upper bits,
-    the lower bits are read off the transpose, and the id table and the n²
-    transpose cells are small beside the text.  A sparse file is left to the
-    line loop.
-    """
-    head = _bulk_header(text)
-    if head is None or not _dense(head[0], text):
+    """Read a dense graph file in the layout `format_graph` writes, in bulk:
+    `_read_pairs`'s with sep " " and u < v, then maybe one final line
+    "C: i1 ... ik\\n" with one space between tokens.  Every number goes
+    through int(), as in the line loop, so a leading zero is taken and the
+    values are checked.  Returns what the line loop returns for the same
+    text, or None for a sparse file, for any other text and for every text
+    the line loop rejects."""
+    pairs = _read_pairs(text, " ")
+    if pairs is None:
         return None
-    n, m, start = head
-    pinned = None
-    stop = text.find("C", start)
-    if stop < 0:
-        stop = len(text)
-    else:  # no edge line holds a "C", so it must start the one final line
-        line = text[stop:]
-        if not line.startswith("C: ") or line.find("\n") != len(line) - 1:
-            return None
-        pins = _spaced(line[3:-1])
-        if pins is None:
-            return None
-        try:
-            pinned = _pins(pins, n)
-        except ValueError:
-            return None
-    upper = _read_runs(text, start, stop, n, m, " ")
-    if upper is None:
+    n, upper, masks, line = pairs
+    # no row carried (the popcounts), so u < v is a test of the bits at or below u's
+    if any(row & ((1 << u) - 1) for u, row in enumerate(upper)):
         return None
-    return Graph._from_masks(n, tuple(map(or_, upper, _transpose(upper)))), pinned
+    if line is None:
+        return Graph._from_masks(n, masks), None
+    pins = _spaced(line[3:-1])  # no pair line holds a "C", so it starts the one final line
+    if not line.startswith("C: ") or line.find("\n") != len(line) - 1 or pins is None:
+        return None
+    try:
+        pinned = _pins(pins, n)
+    except ValueError:
+        return None
+    return Graph._from_masks(n, masks), pinned
 
 
 class _IdBits(dict):
@@ -291,13 +262,15 @@ class _IdBits(dict):
         return bit
 
 
-def _read_runs(text: str, start: int, stop: int, n: int, m: int,
-               sep: str) -> list[int] | None:
-    """rows[u] with bit v-1 set for every line "u" + sep + "v\\n" of
-    text[start:stop], if there are m lines, no line repeats a pair and, for
-    sep " ", each pair has u < v; else None.
+def _read_pairs(text: str, sep: str) -> tuple[int, list[int], tuple[int, ...], str | None] | None:
+    """Read a dense file (see `_dense`) in the pair layout in bulk: "n m\\n"
+    with one space, then m lines "u" + sep + "v\\n" of ASCII digits.  Returns
+    n, rows[u] with bit v-1 set for every pair line, masks = rows OR their
+    transpose, and the tail from the first "C" on (None if there is none);
+    or None for a sparse file, a repeated pair, an id outside 1..n or text
+    before the tail that is not the layout.
 
-    text[start:stop] is cut after line ends into chunks of about _CHUNK
+    The pair lines are cut after line ends into chunks of about _CHUNK
     characters, each read by `_add_runs`; a chunk's token lists die with its
     call, so one chunk's are held at once.  Each run of lines that share the
     token u costs one sum of the bits of its v tokens, added to rows[u].  A
@@ -305,6 +278,19 @@ def _read_runs(text: str, start: int, stop: int, n: int, m: int,
     many set bits as terms only when they are all distinct, so popcounts
     summing to m rule repeats out, within a run and across runs.
     """
+    eol = text.find("\n")
+    header = _spaced(text[:eol]) if eol >= 0 else None
+    if header is None or len(header) != 2:
+        return None
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:  # not a number, or more digits than int() reads
+        return None
+    if n < 0 or m < 0 or not _dense(n, text):
+        return None
+    start, stop = eol + 1, text.find("C", eol)
+    tail = text[stop:] if stop >= 0 else None
+    stop = stop if stop >= 0 else len(text)
     table = _IdBits()
     table.n = n
     rows = [0] * (n + 1)
@@ -318,23 +304,20 @@ def _read_runs(text: str, start: int, stop: int, n: int, m: int,
         start = end
     if count != m or sum(map(int.bit_count, rows)) != m:
         return None
-    return rows
+    return n, rows, tuple(map(or_, rows, _transpose(rows))), tail
 
 
 def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
     """Add the bits of each run's v tokens to rows[u] and return the number
     of lines, or None if chunk is not whole lines "u" + sep + "v\\n" with u
-    and v ASCII digits, if a line holds an id bit() rejects or, for sep " ",
-    if a line has u >= v.
+    and v ASCII digits, or if a line holds an id bit() rejects.
 
     A chunk that ends in "\\n", whose residue after deleting the digits is
     sep + "\\n" per line and which holds sep once per line, is lines of
     digits, sep, digits with a side perhaps empty; the token count then
     finds the empty side (such as " \\n", "\\n " or a leading space).
     Without the final "\\n" the last line would have a third, uncounted
-    digit slot that could hide a moved space.  The order test masks a run's
-    sum with the bits at or below u's; a sum that carried past them is
-    caught by the popcounts."""
+    digit slot that could hide a moved space."""
     lines = chunk.count("\n")
     if (chunk[-1:] != "\n" or chunk.translate(_NOT_DIGITS) != (sep + "\n") * lines
             or chunk.count(sep) != lines):
@@ -343,17 +326,12 @@ def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
     tokens = chunk.split()
     if len(tokens) != per * lines:
         return None
-    ordered = sep == " "
     vs = tokens[per - 1::per]
     a = 0
     try:
         for u, run in groupby(tokens[::per]):
             b = a + len(list(run))
-            ubit = bit(u)
-            row = sum(map(bit, vs[a:b]))
-            if ordered and row & ((ubit << 1) - 1):
-                return None
-            rows[ubit.bit_length()] += row
+            rows[bit(u).bit_length()] += sum(map(bit, vs[a:b]))
             a = b
     except ValueError:
         return None
@@ -391,11 +369,16 @@ def format_pairs(masks: Sequence[int], arrow: str, sep: str) -> str:
     return sep.join(chunks)
 
 
+def _pairs_file(n: int, rows: Sequence[int], sep: str) -> str:
+    """The pair layout `_read_pairs` reads: "n m\\n", then a line
+    u + sep + v for each of the m pairs of rows, in sorted order."""
+    pairs = format_pairs(rows, sep, "\n")
+    return f"{n} {sum(map(int.bit_count, rows))}\n" + (pairs + "\n" if pairs else "")
+
+
 def format_graph(g: Graph, clique: Iterable[int] | None = None) -> str:
     """Render a graph (and optionally a pinned clique) in the graph file format."""
-    upper = [mask >> u << u for u, mask in enumerate(g.masks)]  # the edges (u, v) with u < v
-    edges = format_pairs(upper, " ", "\n")
-    text = f"{g.n} {sum(map(int.bit_count, upper))}\n" + (edges + "\n" if edges else "")
+    text = _pairs_file(g.n, [mask >> u << u for u, mask in enumerate(g.masks)], " ")  # pairs u < v
     if clique is not None:
         text += "C: " + " ".join(map(str, clique)) + "\n"
     return text
@@ -413,13 +396,14 @@ def normalize_partition(graph: Graph, clique: Iterable[int], independent: Iterab
         raise ValueError("clique and independent set must partition the vertices")
     _check_sides(graph, c, i)
     cmask = vertex_mask(c)
-    # at most one vertex moves: a second one would have to be adjacent to the
-    # first, and both lie on the independent side that _check_sides has checked
+    # at most one vertex moves, and the clique is maximal after it: a second one
+    # would be adjacent to the first, on the side _check_sides has checked as
+    # independent.  So every check of SplitPartition holds, and none is repeated.
     v = next((v for v in i if cmask & graph.masks[v] == cmask), None)
     if v is not None:
         c.append(v)
         i.remove(v)
-    return SplitPartition(graph, tuple(c), tuple(i))
+    return tuple.__new__(SplitPartition, (graph, tuple(c), tuple(i)))
 
 
 def split_partition(g: Graph) -> SplitPartition | None:

@@ -35,9 +35,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
-from operator import or_
 
-from .graphs import Graph, _bulk_header, _dense, _read_runs, _transpose, bits, format_pairs
+from .graphs import Graph, _pairs_file, _read_pairs, bits, twin_reduce
 from .matrices import GraphFormatError, SizeGuardError, read_header
 
 
@@ -374,8 +373,6 @@ def oracle_semi_transitive(
         found = _search_semi_transitive_order(g)
         return orient_by_order(g, found) if found is not None else None
 
-    from .graphs import twin_reduce  # local import: graphs does not need orient
-
     reduction = twin_reduce(g)
     found = _search_semi_transitive_order(reduction.graph)
     if found is None:
@@ -393,23 +390,19 @@ def parse_orientation(text: str) -> Orientation:
     """Parse "n m" followed by m arc lines "u > v".
 
     A dense file in the layout `format_orientation` writes ("n m\\n", then
-    "u > v\\n" lines) is read first by the graph parser's run reader, which
-    sums each run of arcs leaving the same u into one out-mask.  Out-masks
-    whose popcounts sum to m rule out repeated arcs.  Every other arc sets
-    two bits of the undirected masks (the out-masks OR their transpose), but
-    two arcs of one edge set two in all and a self-loop sets one, so
-    undirected popcounts summing to 2m rule both out.  Any other file, and
-    every file with an error, is read by the line loop below, the only
-    source of error messages.
+    "u > v\\n" lines, no tail) is read first by the graph parser's pair
+    reader, which sums each run of arcs leaving the same u into one out-mask
+    and rules out repeated arcs.  Every other arc sets two bits of the
+    undirected masks, but two arcs of one edge set two in all and a
+    self-loop sets one, so undirected popcounts summing to 2m rule both out.
+    Any other file, and every file with an error, is read by the line loop
+    below, the only source of error messages.
     """
-    head = _bulk_header(text)
-    if head is not None and _dense(head[0], text):
-        n, m, start = head
-        out = _read_runs(text, start, len(text), n, m, " > ")
-        if out is not None:
-            masks = tuple(map(or_, out, _transpose(out)))
-            if sum(map(int.bit_count, masks)) == 2 * m:
-                return Orientation._from_masks(Graph._from_masks(n, masks), tuple(out))
+    pairs = _read_pairs(text, " > ")
+    if pairs is not None:
+        n, out, masks, tail = pairs
+        if tail is None and sum(map(int.bit_count, masks)) == 2 * sum(map(int.bit_count, out)):
+            return Orientation._from_masks(Graph._from_masks(n, masks), tuple(out))
     n, m, lines = read_header(text, "n m")
     if len(lines) != m:
         raise ValueError(f"expected {m} arcs, found {len(lines)}")
@@ -437,6 +430,4 @@ def parse_orientation(text: str) -> Orientation:
 
 
 def format_orientation(o: Orientation) -> str:
-    head = f"{o.graph.n} {sum(m.bit_count() for m in o.out)}\n"
-    arcs = format_pairs(o.out, " > ", "\n")
-    return head + arcs + "\n" if arcs else head
+    return _pairs_file(o.graph.n, o.out, " > ")

@@ -207,7 +207,7 @@ def canonical_graph_text(rng: random.Random, edit: str, max_n: int = 8, isolated
 ORIENTATION_EDITS = (
     "none", "shuffled", "repeat", "both-ways", "self-loop", "zero", "above-n", "no-spaces",
     "double-space", "leading-zero", "bad-id", "bad-arrow", "crlf", "comment", "m+1", "m-1",
-    "no-final-newline", "sparse",
+    "no-final-newline", "sparse", "c-line",
 )
 
 
@@ -219,8 +219,9 @@ def orientation_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
     (counted in m), "no-spaces" writes one arc "u>v", "bad-id" puts a token
     int() rejects in place of an id, "bad-arrow" writes one arc with another
     token between its ids (such as "1>2", whose digits fill the layout), "crlf" ends one line
-    or every line with "\\r\\n", "comment" adds a "#" line anywhere, and
-    "sparse" counts 200 more vertices than the arcs touch.
+    or every line with "\\r\\n", "comment" adds a "#" line anywhere,
+    "sparse" counts 200 more vertices than the arcs touch, and "c-line"
+    appends a graph file's "C: ..." line naming some vertices.
     An edit that needs an arc the file lacks adds one.  Any edit but "none"
     may also drop the final line end."""
     n = rng.randint(0, max_n)
@@ -228,7 +229,7 @@ def orientation_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
             for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
     arcs.sort()
     if edit in ("repeat", "both-ways", "self-loop", "zero", "above-n", "no-spaces", "double-space",
-                "leading-zero", "bad-id", "bad-arrow") and not arcs:
+                "leading-zero", "bad-id", "bad-arrow", "c-line") and not arcs:
         n = max(n, 2)
         arcs = [(1, 2)]
     lines = [[str(u), str(v)] for u, v in arcs]
@@ -263,6 +264,8 @@ def orientation_text(rng: random.Random, edit: str, max_n: int = 8) -> str:
             body[spot] = body[spot][:-1] + "\r\n"
     elif edit == "comment":
         body.insert(rng.randint(0, len(body)), "# c " + str(rng.randint(0, 9)) + "\n")
+    elif edit == "c-line":
+        body.append("C: " + " ".join(map(str, rng.sample(range(1, n + 1), rng.randint(1, n)))) + "\n")
     text = "".join(body)
     if edit == "no-final-newline" or (edit != "none" and rng.random() < 0.3):
         text = text[:-1] if text.endswith("\n") else text

@@ -21,7 +21,7 @@ from semitrans import (
     twin_reduce,
 )
 from semitrans.generate import GenSpec, forbidden_configuration, generate
-from semitrans.graphs import _bulk_header, _dense, _read_runs
+from semitrans.graphs import _dense, _read_pairs
 
 from oracles import (
     assert_shortcut_witness,
@@ -392,10 +392,9 @@ def test_parse_orientation_matches_reference_parser():
                 got = str(exc)
             assert got == expected, text
             outcomes.add(expected.split(": ", 1)[-1].translate(DROP_DIGITS) if isinstance(expected, str) else "ok")
-            # the run reader takes every dense file in the layout, in any arc
+            # the pair reader takes every dense file in the layout, in any arc
             # order and with ids respelled
-            if edit in ("none", "shuffled", "leading-zero") and text.endswith("\n"):
-                n, m, start = _bulk_header(text)
-                if _dense(n, text):
-                    assert tuple(_read_runs(text, start, len(text), n, m, " > ")) == expected[2], text
+            if edit in ("none", "shuffled", "leading-zero") and text.endswith("\n") and _dense(expected[0], text):
+                n, out, masks, tail = _read_pairs(text, " > ")
+                assert (n, masks, tuple(out), tail) == (*expected, None), text
     assert len(outcomes) >= 8, outcomes  # accepted files and every error branch of the line loop
