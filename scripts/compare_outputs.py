@@ -16,9 +16,14 @@ its own interpreter:
   and on two copies of every corpus file that pins its clique: one with the
   `C:` line reversed and one with it shuffled (seeded by the file's path), so
   the clique rows come in descending and in arbitrary id order;
+- `recognize` plain on a copy of every `decide` and `verify` corpus file
+  with a leading zero on every pair-line id (`_leading_zero_copies`), which
+  the bulk reader leaves to the line loop;
 - `check-orientation` plain and `--machine` on random small orientations,
   on the orientation of every verified YES, on a copy with one arc flipped
-  and on a copy with a directed triangle closed by flipping one arc;
+  and on a copy with a directed triangle closed by flipping one arc; and
+  plain on a copy of every verified YES orientation with a leading zero on
+  every id;
 - `c1p` and `circ1p` on seeded matrix files with up to 60 rows and at least
   one column: random, duplicate-heavy, planted interval and arc systems, and
   planted NO cases (a cycle of pairs, or a triangle of pairs among four or
@@ -204,6 +209,19 @@ def _reordered_clique_files(files: list[Path], directory: Path) -> list[Path]:
             path = directory / f"{tag}.{name}.txt"
             path.write_text("".join(lines[:at] + ["C: " + " ".join(order) + "\n"] + lines[at + 1:]))
             out.append(path)
+    return out
+
+
+def _leading_zero_copies(files: list[Path], directory: Path, sep: str) -> list[Path]:
+    """Copies of pair-layout files with a leading zero on both ids of every
+    pair line (a line that starts with a digit); sep is the text between them."""
+    out = []
+    for path in files:
+        head, *lines = path.read_text().splitlines(keepends=True)
+        body = ["0" + ln.replace(sep, sep + "0", 1) if ln[:1].isdigit() else ln for ln in lines]
+        copy = directory / f"{path.parent.parent.name}-{path.parent.name}-{path.stem}.zeros{path.suffix}"
+        copy.write_text(head + "".join(body))
+        out.append(copy)
     return out
 
 
@@ -407,8 +425,12 @@ def _other_cases(trees: list[str], files: list[Path], plain: list[list], tmp: Pa
         if rc == 0:
             orientations += _orientation_files(graph, out, orient_dir)
     argvs += [["check-orientation", str(path), *flags] for path in orientations for flags in ((), ("--machine",))]
+    verified = [path for path in orientations if path.name.endswith(".verified.orient")]
+    argvs += [["check-orientation", str(path)] for path in _leading_zero_copies(verified, orient_dir, " > ")]
     inputs = tmp / "inputs"
     inputs.mkdir()
+    corpus = [f for f in files if f.parent.name in ("decide", "verify")]
+    argvs += [["recognize", str(path)] for path in _leading_zero_copies(corpus, inputs, " ")]
     for idx, text in enumerate(BAD_GRAPHS):
         path = inputs / f"bad{idx:02d}.graph"
         path.write_bytes(text.encode())

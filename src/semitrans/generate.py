@@ -149,7 +149,7 @@ def planted_yes_masks(rng: SplitMix64, k: int, t: int, wrap_prob: float = 0.25) 
         if k == 0:
             masks.append(0)
             continue
-        if rng.chance(wrap_prob) and k >= 4:
+        if rng.chance(wrap_prob):  # never for k < 4
             a = 1 + rng.below(A)
             b = B + rng.below(k - B + 1)
             mask = ((1 << a) - 1) | (((1 << (k - b + 1)) - 1) << (b - 1))

@@ -209,12 +209,6 @@ _NOT_DIGITS = str.maketrans("", "", "0123456789")
 _CHUNK = 1 << 14  # characters of edge lines per bulk pass: bounds the token lists held at once
 
 
-def _spaced(line: str) -> list[str] | None:
-    """The tokens of line if it is them joined by single spaces, else None."""
-    tokens = line.split()
-    return tokens if " ".join(tokens) == line else None
-
-
 def _dense(n: int, text: str) -> bool:
     """Whether the pair reader's id table and transpose cells, each about n²
     bits or characters, are small beside the text itself."""
@@ -224,11 +218,10 @@ def _dense(n: int, text: str) -> bool:
 def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
     """Read a dense graph file in the layout `format_graph` writes, in bulk:
     `_read_pairs`'s with sep " " and u < v, then maybe one final line
-    "C: i1 ... ik\\n" with one space between tokens.  Every number goes
-    through int(), as in the line loop, so a leading zero is taken and the
-    values are checked.  Returns what the line loop returns for the same
-    text, or None for a sparse file, for any other text and for every text
-    the line loop rejects."""
+    "C: i1 ... ik\\n" spelled as format_graph spells it.  Returns what the
+    line loop returns for the same text, or None for a sparse file, for any
+    other text (a number respelled as "07" or "+7" included) and for every
+    text the line loop rejects."""
     pairs = _read_pairs(text, " ")
     if pairs is None:
         return None
@@ -238,37 +231,24 @@ def _parse_canonical(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
         return None
     if line is None:
         return Graph._from_masks(n, masks), None
-    pins = _spaced(line[3:-1])  # no pair line holds a "C", so it starts the one final line
-    if not line.startswith("C: ") or line.find("\n") != len(line) - 1 or pins is None:
-        return None
     try:
-        pinned = _pins(pins, n)
+        pinned = _pins(line[3:].split(), n)
     except ValueError:
+        return None
+    if line != "C: " + " ".join(map(str, pinned)) + "\n":
         return None
     return Graph._from_masks(n, masks), pinned
 
 
-class _IdBits(dict):
-    """Token -> 1 << (id - 1), filled on first lookup by one int() per new
-    token; ValueError for a token int() cannot read or an id outside 1..n."""
-
-    __slots__ = ("n",)
-
-    def __missing__(self, token: str) -> int:
-        v = int(token)
-        if not 1 <= v <= self.n:
-            raise ValueError(token)
-        bit = self[token] = 1 << (v - 1)
-        return bit
-
-
 def _read_pairs(text: str, sep: str) -> tuple[int, list[int], tuple[int, ...], str | None] | None:
-    """Read a dense file (see `_dense`) in the pair layout in bulk: "n m\\n"
-    with one space, then m lines "u" + sep + "v\\n" of ASCII digits.  Returns
-    n, rows[u] with bit v-1 set for every pair line, masks = rows OR their
-    transpose, and the tail from the first "C" on (None if there is none);
-    or None for a sparse file, a repeated pair, an id outside 1..n or text
-    before the tail that is not the layout.
+    """Read a dense file (see `_dense`) in the pair layout in bulk: "n m\\n",
+    then m lines "u" + sep + "v\\n", every number spelled as str() spells
+    it.  Returns n, rows[u] with bit v-1 set for every pair line, masks =
+    rows OR their transpose, and the tail from the first "C" on (None if
+    there is none); or None for a sparse file, a repeated pair, an id
+    outside 1..n, a respelled number or text before the tail that is not
+    the layout.  An id is looked up in one table keyed by the strings
+    "1".."n", so no int() runs on a pair line.
 
     The pair lines are cut after line ends into chunks of about _CHUNK
     characters, each read by `_add_runs`; a chunk's token lists die with its
@@ -279,20 +259,16 @@ def _read_pairs(text: str, sep: str) -> tuple[int, list[int], tuple[int, ...], s
     summing to m rule repeats out, within a run and across runs.
     """
     eol = text.find("\n")
-    header = _spaced(text[:eol]) if eol >= 0 else None
-    if header is None or len(header) != 2:
-        return None
     try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:  # not a number, or more digits than int() reads
+        n, m = map(int, text[:eol].split(" "))
+    except ValueError:  # not two numbers, or more digits than int() reads
         return None
-    if n < 0 or m < 0 or not _dense(n, text):
+    if eol < 0 or text[:eol] != f"{n} {m}" or n < 0 or m < 0 or not _dense(n, text):
         return None
     start, stop = eol + 1, text.find("C", eol)
     tail = text[stop:] if stop >= 0 else None
     stop = stop if stop >= 0 else len(text)
-    table = _IdBits()
-    table.n = n
+    table = {str(v): 1 << (v - 1) for v in range(1, n + 1)}
     rows = [0] * (n + 1)
     count = 0
     while start < stop:
@@ -310,7 +286,7 @@ def _read_pairs(text: str, sep: str) -> tuple[int, list[int], tuple[int, ...], s
 def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
     """Add the bits of each run's v tokens to rows[u] and return the number
     of lines, or None if chunk is not whole lines "u" + sep + "v\\n" with u
-    and v ASCII digits, or if a line holds an id bit() rejects.
+    and v ASCII digits, or if a line holds a token bit() has no entry for.
 
     A chunk that ends in "\\n", whose residue after deleting the digits is
     sep + "\\n" per line and which holds sep once per line, is lines of
@@ -333,7 +309,7 @@ def _add_runs(chunk: str, sep: str, bit, rows: list[int]) -> int | None:
             b = a + len(list(run))
             rows[bit(u).bit_length()] += sum(map(bit, vs[a:b]))
             a = b
-    except ValueError:
+    except KeyError:
         return None
     return lines
 
@@ -471,11 +447,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
 def neighborhood_matrix(p: SplitPartition) -> BinaryMatrix:
     """The k x t adjacency matrix between clique rows and independent columns.
 
-    Row order is p.clique, column order is p.independent; columns are labeled
-    with the independent vertex ids.  An id-run is a stretch of clique rows
-    r..r+L holding consecutive ids u..u+L.  Each column copies, from its
-    highest neighbor down, the run that neighbor lies in with one shift, so a
-    clique pinned as 1..k costs one copy per column, and any order is exact.
+    Row order is p.clique, column order is p.independent.  An id-run is a
+    stretch of clique rows r..r+L holding consecutive ids u..u+L.  Each
+    column copies, from its highest neighbor down, the run that neighbor lies
+    in with one shift, so a clique pinned as 1..k costs one copy per column,
+    and any order is exact.
     """
     clique, k = p.clique, p.k
     run_of = [None] * (p.graph.n + 1)  # clique id -> (first id - 1, first row - 1) of its run
@@ -493,4 +469,4 @@ def neighborhood_matrix(p: SplitPartition) -> BinaryMatrix:
             col |= piece << row_shift
             mask ^= piece << shift
         cols.append(col)
-    return BinaryMatrix(k, p.t, tuple(cols), tuple(p.independent))
+    return BinaryMatrix(k, p.t, tuple(cols))

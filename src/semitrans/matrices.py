@@ -18,22 +18,20 @@ class SizeGuardError(ValueError):
     """An enumeration oracle was asked to exceed its configured size bound."""
 
 
-class BinaryMatrix(namedtuple("BinaryMatrix", "m n columns labels")):
+class BinaryMatrix(namedtuple("BinaryMatrix", "m n columns")):
     """Immutable m x n matrix over {0,1}, column-major bitmask storage:
-    columns is a tuple of n row masks, labels None or one entry per column."""
+    columns is a tuple of n row masks."""
 
     __slots__ = ()
 
-    def __new__(cls, m: int, n: int, columns: tuple[int, ...], labels: tuple[object, ...] | None = None):
+    def __new__(cls, m: int, n: int, columns: tuple[int, ...]):
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(columns) != n:
             raise ValueError("column count mismatch")
         if columns and (min(columns) < 0 or max(columns) >> m):
             raise ValueError("column mask out of range for row count")
-        if labels is not None and len(labels) != n:
-            raise ValueError("label list must have one entry per column")
-        return tuple.__new__(cls, (m, n, columns, labels))
+        return tuple.__new__(cls, (m, n, columns))
 
 
 class GraphFormatError(ValueError):
@@ -137,7 +135,7 @@ def tucker_transform(mtx: BinaryMatrix) -> BinaryMatrix:
         raise ValueError("matrix has no first row")
     full = (1 << mtx.m) - 1
     cols = tuple([c ^ full if c & 1 else c for c in mtx.columns])
-    return BinaryMatrix(mtx.m, mtx.n, cols, mtx.labels)
+    return BinaryMatrix(mtx.m, mtx.n, cols)
 
 
 def has_circular_ones(mtx: BinaryMatrix) -> tuple[int, ...] | None:

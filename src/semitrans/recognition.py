@@ -126,22 +126,17 @@ def validate_labeling(p: SplitPartition, labeling: Labeling) -> LabelingReport:
     return LabelingReport(not found, found)
 
 
-def intersection_matrix_from_masks(
-    k: int, masks: Sequence[int], ids: Sequence[int] | None = None
-) -> BinaryMatrix:
+def intersection_matrix_from_masks(k: int, masks: Sequence[int]) -> BinaryMatrix:
     """Characteristic vectors of all pairwise intersections of the k-row
-    masks: one column per pair i <= j, labeled (ids[i], ids[j]) if ids given."""
+    masks: one column per pair i <= j, in that order."""
     cols = tuple([mi & mj for i, mi in enumerate(masks) for mj in masks[i:]])
-    labels = None if ids is None else tuple([(a, b) for i, a in enumerate(ids) for b in ids[i:]])
-    return BinaryMatrix(k, len(cols), cols, labels)
+    return BinaryMatrix(k, len(cols), cols)
 
 
 def prune_trivial_columns(mtx: BinaryMatrix) -> BinaryMatrix:
     """Drop columns with at most one 1; they are circular under every permutation."""
     cols = tuple([c for c in mtx.columns if c.bit_count() >= 2])
-    labels = None if mtx.labels is None else tuple([
-        lab for c, lab in zip(mtx.columns, mtx.labels) if c.bit_count() >= 2])
-    return BinaryMatrix(mtx.m, len(cols), cols, labels)
+    return BinaryMatrix(mtx.m, len(cols), cols)
 
 
 def decide_labeling(k: int, neighborhood_masks: Sequence[int]) -> tuple[int, ...] | None:
@@ -283,10 +278,10 @@ def _certify(p: SplitPartition, masks: Sequence[int], perm: Sequence[int], verif
     return Decision(True, labeling=labeling, orientation=orientation, verified=verify)
 
 
-def enumerate_labelings_oracle(p: SplitPartition, guard: int = 8) -> Labeling | None:
-    """Independent oracle: first valid labeling in lexicographic vertex order, or None."""
-    if p.k > guard:
-        raise SizeGuardError(f"k={p.k} exceeds the labeling oracle guard {guard}")
+def enumerate_labelings_oracle(p: SplitPartition) -> Labeling | None:
+    """Independent oracle: first valid labeling in lexicographic vertex order, or None; k <= 8."""
+    if p.k > 8:
+        raise SizeGuardError(f"k={p.k} exceeds the labeling oracle guard 8")
     masks = neighborhood_matrix(p).columns
     row_of = {u: r + 1 for r, u in enumerate(p.clique)}
     for order in permutations(sorted(p.clique)):

@@ -305,6 +305,10 @@ def test_difftest_command(write, capsys):
         assert main(["difftest", "--k", "4", "--t", "3", "--count", count]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: count={count} is below 1\n"
+    for methods in ("", " ", ","):  # an empty --methods names no method, not every method
+        assert main(["difftest", "--k", "4", "--t", "3", "--count", "1", "--methods", methods]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown method ''\n"
 
 
 def test_difftest_no_timing_byte_stable(capsys):

@@ -115,7 +115,7 @@ def test_parse_errors(text, fragment):
     assert exc.value.line_no == line_number(PARSE_ERRORS[text][1])
 
 
-RESPELLED = ("none", "leading-zero", "header-respelled", "pin-respelled")  # edits that keep every value
+RESPELLED = ("leading-zero", "header-respelled", "pin-respelled")  # edits that keep every value, not its spelling
 
 
 def _parser_inputs(isolated=0):
@@ -149,13 +149,12 @@ def _check_against_reference_parser(inputs):
         assert got == expected, text
         outcomes.add(expected.split(": ", 1)[1].split()[0] if isinstance(expected, str) else "ok")
         # the bulk pass gives the line loop's result or leaves the text to it:
-        # it leaves every sparse file, and it takes every unedited dense file
-        # and every one whose ids are only respelled, as long as it ends in a
-        # line end
+        # it leaves every sparse file and every file with a respelled number,
+        # and it takes every unedited dense file that ends in a line end
         bulk = _parse_canonical(text)
-        if isinstance(expected, str) or not _dense(expected[0].n, text):
+        if isinstance(expected, str) or not _dense(expected[0].n, text) or kind in RESPELLED:
             assert bulk is None, text
-        elif kind in RESPELLED and text.endswith("\n"):
+        elif kind == "none" and text.endswith("\n"):
             assert bulk == expected, text
         else:
             assert bulk in (None, expected), text
@@ -410,7 +409,6 @@ def test_neighborhood_matrix_interval_system():
     m = neighborhood_matrix(p)
     assert m.m == 4 and m.n == 3
     assert [set(bits(c)) for c in m.columns] == [{1, 2}, {2, 3}, {3, 4}]
-    assert m.labels == p.independent
 
 
 def test_neighborhood_matrix_empty_independent():
@@ -446,7 +444,7 @@ def test_neighborhood_matrix_any_clique_order():
             p = normalize_partition(g, order(clique), independent)
             mtx = neighborhood_matrix(p)
             assert mtx.columns == neighborhood_columns_reference(p), (name, format_graph(g, p.clique))
-            assert (mtx.m, mtx.n, mtx.labels) == (p.k, p.t, p.independent)
+            assert (mtx.m, mtx.n) == (p.k, p.t)
             seen["appended"] += p.k > len(clique)
             seen["t=0"] += p.t == 0
             seen["empty"] += 0 in mtx.columns

@@ -393,8 +393,10 @@ def test_parse_orientation_matches_reference_parser():
             assert got == expected, text
             outcomes.add(expected.split(": ", 1)[-1].translate(DROP_DIGITS) if isinstance(expected, str) else "ok")
             # the pair reader takes every dense file in the layout, in any arc
-            # order and with ids respelled
-            if edit in ("none", "shuffled", "leading-zero") and text.endswith("\n") and _dense(expected[0], text):
+            # order, and leaves every file with a respelled id to the line loop
+            if edit in ("none", "shuffled") and text.endswith("\n") and _dense(expected[0], text):
                 n, out, masks, tail = _read_pairs(text, " > ")
                 assert (n, masks, tuple(out), tail) == (*expected, None), text
+            elif edit == "leading-zero" and _dense(expected[0], text):
+                assert _read_pairs(text, " > ") is None, text
     assert len(outcomes) >= 8, outcomes  # accepted files and every error branch of the line loop
